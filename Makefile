@@ -60,10 +60,11 @@ bench-smoke:
 
 # bench-workers runs the same workload at -workers 1 and -workers 4 and
 # compares the two reports: the parallel-speedup evidence for the README
-# table (regenerates results/bench_workers{1,4}.json). Since the chase now
-# fans out speculative firing as well as trigger collection, both chase and
-# conflict metrics respond to -workers. The -baseline leg uses -regress-ok
-# because the point is the printed comparison, not a gate.
+# table (regenerates results/bench_workers{1,4}.json). Conflict detection,
+# Π-checking, position ranking and fix generation respond to -workers; the
+# chase and the tracker update run inline at every worker count. The
+# -baseline leg uses -regress-ok because the point is the printed
+# comparison, not a gate.
 bench-workers:
 	$(GO) run ./cmd/kbbench $(BENCH_ARGS) -workers 1 -json results/bench_workers1.json
 	$(GO) run ./cmd/kbbench $(BENCH_ARGS) -workers 4 -json results/bench_workers4.json \
@@ -71,8 +72,8 @@ bench-workers:
 
 # bench-workers-smoke is the CI variant: a scaled-down workload at both
 # worker counts, discarding the reports — it proves the multi-worker bench
-# path (parallel collection + speculative firing + the report comparison)
-# still runs end to end, without pretending a shared runner can time it.
+# path (the par fan-outs + the report comparison) still runs end to end,
+# without pretending a shared runner can time it.
 bench-workers-smoke:
 	$(GO) run ./cmd/kbbench -exp fig3 -scale 0.1 -reps 1 -seed 1 -workers 1 -json results/bench_workers_smoke1.json
 	$(GO) run ./cmd/kbbench -exp fig3 -scale 0.1 -reps 1 -seed 1 -workers 4 -json results/bench_workers_smoke4.json \

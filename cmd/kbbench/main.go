@@ -98,11 +98,7 @@ func main() {
 		rep.Profile = exp.BuildProfile(attr.Capture(), snap)
 		exp.WriteProfile(out, rep.Profile)
 		rep.Trace = exp.BuildTraceSummary(benchRing.Records(), benchRing.Total())
-		var queueWait float64
-		if h, ok := snap.Histograms["par.queue_wait_seconds"]; ok {
-			queueWait = h.Sum
-		}
-		rep.Efficiency = exp.BuildEfficiency(sched.Capture(), wallUS, queueWait, par.Workers())
+		rep.Efficiency = exp.BuildEfficiency(sched.Capture(), wallUS, par.Workers())
 		exp.WriteEfficiency(out, rep.Efficiency)
 		if *effCheck {
 			if err := rep.Efficiency.Validate(); err != nil {

@@ -149,12 +149,7 @@ func TestEfficiencyEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	wallUS := time.Since(wallStart).Microseconds()
-	snap := obs.Default().Snapshot()
-	var queueWait float64
-	if h, ok := snap.Histograms["par.queue_wait_seconds"]; ok {
-		queueWait = h.Sum
-	}
-	eff := exp.BuildEfficiency(sched.Capture(), wallUS, queueWait, par.Workers())
+	eff := exp.BuildEfficiency(sched.Capture(), wallUS, par.Workers())
 	if eff == nil {
 		t.Fatal("no efficiency report from an enabled recorder")
 	}

@@ -108,8 +108,7 @@ func run(out io.Writer, path string, waterfall bool, top int, critical bool, chr
 
 // printSched renders the worker-lane efficiency report of a -sched
 // snapshot against the trace's wall clock: the run window observed in the
-// span forest bounds the Amdahl decomposition (queue-wait share needs the
-// metrics snapshot and is only in kbbench's BENCH.json report).
+// span forest bounds the Amdahl decomposition.
 func printSched(out io.Writer, f *traceview.Forest, snap *sched.Snapshot) {
 	var loUS, hiUS int64
 	first := true
@@ -129,7 +128,7 @@ func printSched(out io.Writer, f *traceview.Forest, snap *sched.Snapshot) {
 			workers = a.MaxWorkers
 		}
 	}
-	eff := exp.BuildEfficiency(snap, wallUS, 0, workers)
+	eff := exp.BuildEfficiency(snap, wallUS, workers)
 	exp.WriteEfficiency(out, eff)
 	fmt.Fprintf(out, "  %d lane intervals retained (%d recorded, %d fanouts)\n",
 		snap.IntervalsRetained, snap.IntervalsTotal, snap.FanoutsTotal)

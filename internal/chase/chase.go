@@ -16,7 +16,6 @@ import (
 	"kbrepair/internal/obs"
 	"kbrepair/internal/obs/attr"
 	"kbrepair/internal/obs/flight"
-	"kbrepair/internal/par"
 	"kbrepair/internal/store"
 )
 
@@ -32,29 +31,16 @@ var (
 	mNulls    = obs.NewCounter("chase.nulls_invented")
 	// mDeferred counts triggers that crossed a round boundary: every trigger
 	// collected in round ≥ 2 involves a fact derived the round before, i.e.
-	// it existed conceptually the moment that fact was added but — by the
-	// round-start snapshot discipline that keeps parallel collection
-	// deterministic — was deferred to the next round's scan. This quantifies
-	// the cost of the snapshot discipline (ROADMAP open item).
+	// it existed conceptually the moment that fact was added but — because
+	// each round collects against the store as it stood at the round's
+	// start — was deferred to the next round's scan.
 	mDeferred = obs.NewCounter("chase.triggers_deferred")
-	// Speculative-fire/commit protocol counters. spec_firings counts
-	// triggers that passed the applicability check against the round-start
-	// snapshot (speculative phase, parallel); spec_revalidations counts the
-	// commit-time re-checks of survivors whose head predicates gained facts
-	// earlier in the same round; spec_rejected counts survivors those
-	// re-checks killed. All three are deterministic across worker counts —
-	// they depend only on round-start state and commit order.
-	mSpecFirings  = obs.NewCounter("chase.spec_firings")
-	mSpecReval    = obs.NewCounter("chase.spec_revalidations")
-	mSpecRejected = obs.NewCounter("chase.spec_rejected")
-	mRunTime      = obs.NewHistogram("chase.run_seconds", obs.LatencyBuckets)
+	mRunTime  = obs.NewHistogram("chase.run_seconds", obs.LatencyBuckets)
 	// gRound is the live-progress gauge read back by /statusz: the round
 	// the chase currently in flight is on, reset to 0 when the run ends so
 	// an idle process never reports the previous run's round forever.
-	// Within one run only the round loop's goroutine writes it — the
-	// parallel trigger-collection and speculative-firing fan-outs happen
-	// strictly inside a round and never touch the gauge — so there is no
-	// in-run write race; concurrent *runs* overwrite each other
+	// Within one run only the round loop writes it; concurrent *runs* (the
+	// Π-check workers each chase a candidate store) overwrite each other
 	// last-writer-wins, which is fine for a dashboard.
 	gRound = obs.NewGauge(obs.StatusChaseRound)
 )
@@ -279,40 +265,29 @@ func run(base *store.Store, tgds []*logic.TGD, opts Options, abortPred string) (
 	return chaseLoop(base, tgds, opts, abortPred, obs.Span{})
 }
 
-// chaseLoop is the saturation engine. Each round has three phases:
+// chaseLoop is the saturation engine, a sequential restricted-chase
+// fixpoint. Each round has two phases:
 //
-//  1. Trigger collection — one read-only homomorphism search per TGD
-//     against the store as it stood at the start of the round, fanned out
-//     over the par worker pool and merged in rule order. A trigger that
-//     only exists because of a fact derived *within* the current round is
-//     picked up next round through the delta (its newest fact is in this
-//     round's delta), so nothing is lost by collecting against the round
-//     snapshot.
-//  2. Speculative firing — the applicability check and head instantiation
-//     for every trigger, against the same round-start snapshot, fanned out
-//     over the worker pool. Triggers share nothing: the check only reads
-//     the snapshot, and invented nulls are named by firing coordinate
-//     (round, rule, trigger, existential index — store.NullForCoord)
-//     instead of being drawn from a shared counter, so one trigger's
-//     result never depends on another's. Output is therefore
-//     byte-identical at every worker count.
-//  3. Commit — strictly sequential, in (rule, trigger) order. A surviving
-//     speculative firing is re-validated against the live store only when
-//     a predicate of its head gained facts earlier in the same round; the
-//     applicability check reads nothing but head-predicate indexes, so
-//     without such an overlap the snapshot answer still stands. This makes
-//     the committed facts, their ids and their provenance identical to
-//     those of a fully sequential run (see RunSequentialReference).
+//  1. Trigger collection — one read-only homomorphism search per TGD, rule
+//     by rule, against the store as it stood at the start of the round. A
+//     trigger that only exists because of a fact derived *within* the
+//     current round is picked up next round through the delta (its newest
+//     fact is in this round's delta), so nothing is lost by collecting
+//     against the round-start store.
+//  2. Firing — in (rule, trigger) order. The applicability check runs
+//     against the live store, so a firing earlier in the order suppresses
+//     a later trigger whose head it satisfied. Invented nulls are named by
+//     firing coordinate (round, rule, trigger, existential index —
+//     store.NullForCoord) instead of being drawn from a shared counter, and
+//     each head is appended with one AddBatch.
 //
-// The round gauge is written only here, between phases, never from the
-// workers.
+// The output matches RunSequentialReference fact-for-fact at the same ids,
+// with the same provenance and round structure, modulo the renaming of
+// invented nulls.
 //
 // sp is the enclosing chase.run trace span (inert when tracing is off):
 // each round emits a chase.round child, so a slow chase decomposes
-// round-by-round in the waterfall. Round spans, like all pipeline spans,
-// are opened and closed on this goroutine only — the collection workers
-// never touch the tracer — which keeps the trace byte-identical across
-// worker counts.
+// round-by-round in the waterfall.
 func chaseLoop(base *store.Store, tgds []*logic.TGD, opts Options, abortPred string, sp obs.Span) (*Result, error) {
 	res := &Result{
 		Store:   base.Clone(),
@@ -334,26 +309,17 @@ func chaseLoop(base *store.Store, tgds []*logic.TGD, opts Options, abortPred str
 	budget := opts.maxDerived()
 
 	// Per-rule invariants hoisted out of the round loop: FrontierVars and
-	// ExistentialVars compute fresh slices on every call, the deduped
-	// head-predicate list drives the commit-phase revalidation test, and the
-	// body/head plans are resolved once per run so the per-trigger hot path
-	// never rebuilds a cache key. Head plans are seed-specialized on the
-	// frontier variables — every applicability check binds exactly those.
+	// ExistentialVars compute fresh slices on every call, and the body/head
+	// plans are resolved once per run so the per-trigger hot path never
+	// rebuilds a cache key. Head plans are seed-specialized on the frontier
+	// variables — every applicability check binds exactly those.
 	front := make([][]logic.Term, len(tgds))
 	exist := make([][]logic.Term, len(tgds))
-	headPreds := make([][]string, len(tgds))
 	bodyPlans := make([]*homo.Plan, len(tgds))
 	headPlans := make([]*homo.Plan, len(tgds))
 	for i, r := range tgds {
 		front[i] = r.FrontierVars()
 		exist[i] = r.ExistentialVars()
-		seen := make(map[string]bool, len(r.Head))
-		for _, h := range r.Head {
-			if !seen[h.Pred] {
-				seen[h.Pred] = true
-				headPreds[i] = append(headPreds[i], h.Pred)
-			}
-		}
 		bodyPlans[i] = homo.CachedPlanWith(homo.CacheKey{Owner: r, Tag: homo.TagBody}, r.Body,
 			homo.CompileOpts{Stats: s})
 		headPlans[i] = homo.CachedPlanWith(homo.CacheKey{Owner: r, Tag: homo.TagHead}, r.Head,
@@ -379,12 +345,13 @@ func chaseLoop(base *store.Store, tgds []*logic.TGD, opts Options, abortPred str
 			deltaSet[id] = true
 		}
 		all := res.Rounds == 1
-		perRule := par.MapNamed("chase.collect", len(tgds), func(i int) []homo.Match {
-			return collectTriggers(s, bodyPlans[i], all, deltaSet)
-		})
+		perRule := make([][]homo.Match, len(tgds))
+		for i := range tgds {
+			perRule[i] = collectTriggers(s, bodyPlans[i], all, deltaSet)
+		}
 		// Every trigger surviving the delta filter in round ≥ 2 involves a
 		// fact from the previous round's delta: it was deferred across the
-		// round-start snapshot boundary.
+		// round-start boundary.
 		var deferred int64
 		if !all {
 			for _, ms := range perRule {
@@ -392,88 +359,62 @@ func chaseLoop(base *store.Store, tgds []*logic.TGD, opts Options, abortPred str
 			}
 			mDeferred.Add(deferred)
 		}
-		// Phase 2 — speculative firing against the round-start snapshot,
-		// fanned out over the worker pool in flattened (rule, trigger)
-		// order. Attribution IDs are resolved up front (the resolve may
-		// intern, which takes a lock) so workers only do atomic adds.
-		var flatRule, flatTrig []int
-		for ri := range tgds {
-			for ti := range perRule[ri] {
-				flatRule = append(flatRule, ri)
-				flatTrig = append(flatTrig, ti)
-			}
-		}
-		rids := make([]attr.ID, len(tgds))
-		if attr.Enabled() {
-			for ri, rule := range tgds {
-				if len(perRule[ri]) > 0 {
-					rids[ri] = ruleAttrID(rule)
-				}
-			}
-		}
-		specs := par.MapNamed("chase.spec", len(flatRule), func(k int) specFiring {
-			ri, ti := flatRule[k], flatTrig[k]
-			return speculate(s, tgds[ri], headPlans[ri], rids[ri], perRule[ri][ti], res.Rounds, ri, ti, front[ri], exist[ri])
-		})
 
-		// Phase 3 — sequential commit in the same (rule, trigger) order the
-		// old engine fired in. roundPreds tracks which predicates gained
-		// facts this round; only a head overlapping it needs re-validation
-		// against the live store.
 		var newDelta []store.FactID
 		var firings int64
-		roundPreds := make(map[string]bool)
-		for k, f := range specs {
-			if !f.ok {
-				continue
+		for ri, rule := range tgds {
+			var rid attr.ID
+			if attr.Enabled() && len(perRule[ri]) > 0 {
+				rid = ruleAttrID(rule)
 			}
-			ri := flatRule[k]
-			rule := tgds[ri]
-			overlap := false
-			for _, p := range headPreds[ri] {
-				if roundPreds[p] {
-					overlap = true
-					break
-				}
-			}
-			if overlap {
-				mSpecReval.Inc()
-				if headPlans[ri].ExistsSeeded(s, f.frontier) {
-					mSpecRejected.Inc()
+			for ti, m := range perRule[ri] {
+				mTriggers.Inc()
+				attrTriggers.Add(rid, 1)
+				frontier := m.Subst.Restrict(front[ri])
+				if headPlans[ri].ExistsSeeded(s, frontier) {
 					continue
 				}
-			}
-			if budget-len(res.Prov) < len(rule.Head) {
-				flight.RecordNote4(flight.KindChaseRoundEnd, int64(res.Rounds), int64(len(newDelta)), deferred, firings, flight.RoundStatusBudget)
-				rsp.End()
-				return res, ErrBudget
-			}
-			mFirings.Inc()
-			attrFirings.Add(rids[ri], 1)
-			mNulls.Add(int64(f.nulls))
-			ids, err := s.AddBatch(f.atoms)
-			if err != nil {
-				flight.RecordNote4(flight.KindChaseRoundEnd, int64(res.Rounds), int64(len(newDelta)), deferred, firings, flight.RoundStatusError)
-				rsp.End()
-				return res, fmt.Errorf("chase: firing %s: %w", rule, err)
-			}
-			firings++
-			mDerived.Add(int64(len(ids)))
-			attrDerived.Add(rids[ri], int64(len(ids)))
-			parents := perRule[ri][flatTrig[k]].Facts
-			for i, id := range ids {
-				res.Prov[id] = Derivation{Rule: rule, Parents: parents, HeadIdx: i}
-				newDelta = append(newDelta, id)
-				roundPreds[f.atoms[i].Pred] = true
-				if abortPred != "" && f.atoms[i].Pred == abortPred {
-					flight.RecordNote4(flight.KindChaseRoundEnd, int64(res.Rounds), int64(len(newDelta)), deferred, firings, flight.RoundStatusAborted)
-					if rsp.Live() {
-						rsp.End(obs.Int("round", res.Rounds),
-							obs.Int("derived", len(newDelta)),
-							obs.Int64("firings", firings),
-							obs.Bool("aborted", true))
+				if budget-len(res.Prov) < len(rule.Head) {
+					flight.RecordNote4(flight.KindChaseRoundEnd, int64(res.Rounds), int64(len(newDelta)), deferred, firings, flight.RoundStatusBudget)
+					rsp.End()
+					return res, ErrBudget
+				}
+				inst := frontier
+				if len(exist[ri]) > 0 {
+					inst = frontier.Clone()
+					for x, z := range exist[ri] {
+						inst[z] = s.NullForCoord(res.Rounds, ri, ti, x)
 					}
-					return res, nil
+				}
+				atoms := make([]logic.Atom, len(rule.Head))
+				for i, h := range rule.Head {
+					atoms[i] = inst.Apply(h)
+				}
+				mFirings.Inc()
+				attrFirings.Add(rid, 1)
+				mNulls.Add(int64(len(exist[ri])))
+				ids, err := s.AddBatch(atoms)
+				if err != nil {
+					flight.RecordNote4(flight.KindChaseRoundEnd, int64(res.Rounds), int64(len(newDelta)), deferred, firings, flight.RoundStatusError)
+					rsp.End()
+					return res, fmt.Errorf("chase: firing %s: %w", rule, err)
+				}
+				firings++
+				mDerived.Add(int64(len(ids)))
+				attrDerived.Add(rid, int64(len(ids)))
+				for i, id := range ids {
+					res.Prov[id] = Derivation{Rule: rule, Parents: m.Facts, HeadIdx: i}
+					newDelta = append(newDelta, id)
+					if abortPred != "" && atoms[i].Pred == abortPred {
+						flight.RecordNote4(flight.KindChaseRoundEnd, int64(res.Rounds), int64(len(newDelta)), deferred, firings, flight.RoundStatusAborted)
+						if rsp.Live() {
+							rsp.End(obs.Int("round", res.Rounds),
+								obs.Int("derived", len(newDelta)),
+								obs.Int64("firings", firings),
+								obs.Bool("aborted", true))
+						}
+						return res, nil
+					}
 				}
 			}
 		}
@@ -490,9 +431,8 @@ func chaseLoop(base *store.Store, tgds []*logic.TGD, opts Options, abortPred str
 
 // collectTriggers gathers body homomorphisms for the rule. In the first
 // round all homomorphisms are collected; in later rounds only those mapping
-// at least one body atom onto a delta fact. It only reads the store, so the
-// per-rule calls of one round may run concurrently. Matches are cloned
-// because the store is mutated later, while firing.
+// at least one body atom onto a delta fact. Matches are cloned because the
+// store is mutated later, while firing.
 func collectTriggers(s *store.Store, plan *homo.Plan, all bool, deltaSet map[store.FactID]bool) []homo.Match {
 	var out []homo.Match
 	plan.ForEach(s, func(m homo.Match) bool {
@@ -512,45 +452,6 @@ func collectTriggers(s *store.Store, plan *homo.Plan, all bool, deltaSet map[sto
 		return true
 	})
 	return out
-}
-
-// specFiring is the speculative phase's verdict on one trigger: either a
-// skip (head already satisfied at the round-start snapshot) or a fully
-// instantiated head — safe(H) with coordinate-named nulls — ready to commit.
-type specFiring struct {
-	ok       bool
-	frontier logic.Subst
-	atoms    []logic.Atom
-	nulls    int
-}
-
-// speculate runs the restricted-chase applicability check and the head
-// instantiation for one trigger against the round-start snapshot. It only
-// reads the store and shares nothing mutable with other triggers, so the
-// per-trigger calls of one round may run concurrently (head plans keep
-// per-search state in a pool). Invented nulls are named by the firing
-// coordinate via store.NullForCoord, so their labels do not depend on which
-// other triggers fire, or in what order.
-func speculate(s *store.Store, rule *logic.TGD, headPlan *homo.Plan, rid attr.ID, m homo.Match, round, ri, ti int, front, exist []logic.Term) specFiring {
-	mTriggers.Inc()
-	attrTriggers.Add(rid, 1)
-	frontier := m.Subst.Restrict(front)
-	if headPlan.ExistsSeeded(s, frontier) {
-		return specFiring{}
-	}
-	mSpecFirings.Inc()
-	inst := frontier
-	if len(exist) > 0 {
-		inst = frontier.Clone()
-		for x, z := range exist {
-			inst[z] = s.NullForCoord(round, ri, ti, x)
-		}
-	}
-	atoms := make([]logic.Atom, len(rule.Head))
-	for i, h := range rule.Head {
-		atoms[i] = inst.Apply(h)
-	}
-	return specFiring{ok: true, frontier: frontier, atoms: atoms, nulls: len(exist)}
 }
 
 // IsConsistentNaive runs the full chase and then evaluates every CDD body on

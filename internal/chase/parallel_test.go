@@ -112,9 +112,8 @@ func chaseTranscript(res *Result) string {
 // TestChaseDeterministicAcrossWorkers runs a multi-round, multi-rule,
 // null-inventing chase at several worker counts and requires byte-identical
 // results: same facts, same ids, same null labels, same provenance, same
-// round count. The sequential commit order pins ids and provenance, and
-// coordinate-based null naming (store.NullForCoord) pins the labels — so
-// both trigger collection and speculative firing may fan out freely.
+// round count. The (rule, trigger) firing order pins ids and provenance,
+// and coordinate-based null naming (store.NullForCoord) pins the labels.
 func TestChaseDeterministicAcrossWorkers(t *testing.T) {
 	withWorkers(t, 1)
 	s, tgds := deepChainKB(t, 5, 4)

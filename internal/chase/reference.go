@@ -8,16 +8,15 @@ import (
 	"kbrepair/internal/store"
 )
 
-// RunSequentialReference computes the restricted chase with the
-// pre-parallel engine: triggers collected rule by rule, firing strictly
-// sequential in (rule, enumeration) order, invented nulls drawn from the
-// store's global FreshNull counter. It is retained — like
-// homo.ReferenceForEachSeeded — as the semantics baseline for the
-// speculative-fire/commit engine behind Run: differential tests require
-// Run's output to match this one fact-for-fact at the same ids, with the
-// same provenance and round structure, modulo a bijective renaming of
-// invented nulls (store.EqualUpToNullRenaming). Unlike Run it is
-// uninstrumented: no metrics, spans, flight events or worker fan-out.
+// RunSequentialReference computes the restricted chase with a minimal
+// engine: triggers collected rule by rule, firing strictly sequential in
+// (rule, enumeration) order, invented nulls drawn from the store's global
+// FreshNull counter. It is retained — like homo.ReferenceForEachSeeded —
+// as the semantics baseline for Run: differential tests require Run's
+// output to match this one fact-for-fact at the same ids, with the same
+// provenance and round structure, modulo a bijective renaming of invented
+// nulls (store.EqualUpToNullRenaming). Unlike Run it is uninstrumented: no
+// metrics, spans or flight events.
 func RunSequentialReference(base *store.Store, tgds []*logic.TGD, opts Options) (*Result, error) {
 	res := &Result{
 		Store:   base.Clone(),
@@ -40,8 +39,8 @@ func RunSequentialReference(base *store.Store, tgds []*logic.TGD, opts Options) 
 			deltaSet[id] = true
 		}
 		all := res.Rounds == 1
-		// All triggers are collected against the round-start snapshot,
-		// before any firing — the same discipline as the parallel engine.
+		// All triggers are collected against the round-start store,
+		// before any firing — the same discipline as Run.
 		perRule := make([][]homo.Match, len(tgds))
 		for i, rule := range tgds {
 			plan := homo.CachedPlanWith(homo.CacheKey{Owner: rule, Tag: homo.TagBody}, rule.Body,

@@ -149,32 +149,17 @@ func (t *Tracker) remove(key string) {
 	}
 }
 
-// pinTask is one re-evaluation unit of Update: CDD ci with body atom ai
-// pinned onto the updated fact through the seed substitution.
-type pinTask struct {
-	ci   int
-	ai   int
-	seed logic.Subst
-	plan *homo.Plan // compiled body-minus-pinned-atom conjunction
-}
-
 // Update re-synchronizes the conflict set after the fact with the given id
 // has been modified in the underlying store. Per §5: conflicts related to
 // the fact are dropped, then every CDD related to the fact's (new) atom is
 // re-evaluated with one body atom pinned onto the fact.
-//
-// The pinned-seed searches are independent read-only scans of the store,
-// so they fan out over the par worker pool; the tracker's own indexes are
-// only mutated afterwards, on the calling goroutine, in task order — the
-// conflict set ends up identical for any worker count.
 func (t *Tracker) Update(id store.FactID) {
 	t.UpdateUnder(0, id)
 }
 
 // UpdateUnder is Update with the trace span parented under the given span
 // id — the inquiry engine attributes each incremental re-sync to the
-// question whose answer caused it. The span is emitted on this goroutine;
-// the pinned-seed workers never touch the tracer.
+// question whose answer caused it.
 func (t *Tracker) UpdateUnder(parent uint64, id store.FactID) {
 	mUpdates.Inc()
 	tm := obs.StartTimer()
@@ -188,7 +173,7 @@ func (t *Tracker) UpdateUnder(parent uint64, id store.FactID) {
 		t.remove(k)
 	}
 	atom := t.base.FactRef(id)
-	var tasks []pinTask
+	var added int64
 	for _, ci := range t.byPred[atom.Pred] {
 		cdd := t.cdds[ci]
 		for ai, ba := range cdd.Body {
@@ -201,17 +186,7 @@ func (t *Tracker) UpdateUnder(parent uint64, id store.FactID) {
 			if !ok {
 				continue
 			}
-			tasks = append(tasks, pinTask{ci: ci, ai: ai, seed: seed, plan: t.pinPlans[ci][ai]})
-		}
-	}
-	perTask := par.MapNamed("conflict.tracker", len(tasks), func(i int) []*Conflict {
-		return t.scanPinned(id, atom, tasks[i])
-	})
-	var added int64
-	for _, cs := range perTask {
-		for _, c := range cs {
-			t.add(c)
-			added++
+			added += t.addPinned(id, ci, ai, seed)
 		}
 	}
 	flight.Record(flight.KindTrackerUpdate, int64(id), removed, added, 0)
@@ -220,20 +195,20 @@ func (t *Tracker) UpdateUnder(parent uint64, id store.FactID) {
 	}
 }
 
-// scanPinned runs one pinned-seed homomorphism search and returns the
-// conflicts it witnesses. It reads the store and the (immutable) CDDs but
-// never touches the tracker's mutable indexes.
-func (t *Tracker) scanPinned(id store.FactID, atom logic.Atom, task pinTask) []*Conflict {
-	cdd := t.cdds[task.ci]
+// addPinned runs the pinned-seed homomorphism search of CDD ci with body
+// atom ai mapped onto fact id, adds every conflict it witnesses and
+// returns how many it found.
+func (t *Tracker) addPinned(id store.FactID, ci, ai int, seed logic.Subst) int64 {
+	cdd := t.cdds[ci]
 	if attr.Enabled() {
 		attrPinned.Add(AttrID(cdd), 1)
 	}
-	var out []*Conflict
-	task.plan.ForEachSeeded(t.base, task.seed, func(m homo.Match) bool {
+	var found int64
+	t.pinPlans[ci][ai].ForEachSeeded(t.base, seed, func(m homo.Match) bool {
 		facts := make([]store.FactID, 0, len(cdd.Body))
 		ri := 0
 		for j := range cdd.Body {
-			if j == task.ai {
+			if j == ai {
 				facts = append(facts, id)
 			} else {
 				facts = append(facts, m.Facts[ri])
@@ -241,20 +216,21 @@ func (t *Tracker) scanPinned(id store.FactID, atom logic.Atom, task pinTask) []*
 			}
 		}
 		full := m.Subst.Clone()
-		for v, val := range task.seed {
+		for v, val := range seed {
 			full[v] = val
 		}
-		out = append(out, &Conflict{
+		t.add(&Conflict{
 			CDD:       cdd,
-			CDDIdx:    task.ci,
+			CDDIdx:    ci,
 			Hom:       full,
 			Facts:     facts,
 			BaseFacts: dedupIDs(facts),
 			Direct:    true,
 		})
+		found++
 		return true
 	})
-	return out
+	return found
 }
 
 // bindAtom unifies a body atom pattern against a ground fact, returning the

@@ -9,10 +9,10 @@ import (
 )
 
 // PhaseEfficiency is one row of the efficiency report: every fan-out
-// that ran under one sched label ("chase.spec", "conflict.scan", …),
+// that ran under one sched label ("core.pi", "conflict.scan", …),
 // with Utilization = BusyUS / WorkerUS — the fraction of the phase's
 // worker capacity that ran tasks. TopWallUS excludes nested fan-outs
-// (a chase fanning out inside a Π-check worker), which overlap their
+// (a fan-out started from inside another's task), which overlap their
 // parent's window and would double-count against total wall time.
 type PhaseEfficiency struct {
 	Label       string  `json:"label"`
@@ -28,8 +28,8 @@ type PhaseEfficiency struct {
 
 // Efficiency is the Amdahl decomposition of a benchmarked run, built
 // from the sched lane recorder: how much of the wall time ran inside
-// parallel fan-outs, how much was serial (the chase commit phase,
-// question generation, everything between fan-outs), and the speedup
+// parallel fan-outs, how much was serial (the chase, the tracker's
+// incremental updates, everything between fan-outs), and the speedup
 // ceiling the serial fraction implies. The invariant ParallelUS +
 // SerialUS == WallUS holds by construction and is what Validate (and
 // the property tests behind make sched-smoke) check.
@@ -39,8 +39,6 @@ type Efficiency struct {
 	ParallelUS       int64             `json:"parallel_us"`
 	SerialUS         int64             `json:"serial_us"`
 	SerialFraction   float64           `json:"serial_fraction"`
-	QueueWaitUS      int64             `json:"queue_wait_us"`
-	QueueWaitShare   float64           `json:"queue_wait_share"`
 	AmdahlMaxSpeedup float64           `json:"amdahl_max_speedup"`
 	OpenFanouts      int64             `json:"open_fanouts"`
 	AbortedFanouts   int64             `json:"aborted_fanouts"`
@@ -48,9 +46,9 @@ type Efficiency struct {
 }
 
 // BuildEfficiency assembles the report from a sched snapshot, the
-// measured wall time of the benchmarked work, the par.queue_wait_seconds
-// histogram sum and the configured worker count. Returns nil when lane
-// recording was off (nil snapshot) — the additive-section contract.
+// measured wall time of the benchmarked work and the configured worker
+// count. Returns nil when lane recording was off (nil snapshot) — the
+// additive-section contract.
 //
 // ParallelUS sums only top-level fan-out windows and is clamped to
 // WallUS (clock granularity can push the sum a hair past the outer
@@ -58,19 +56,17 @@ type Efficiency struct {
 // the two always sum back to WallUS exactly. AmdahlMaxSpeedup is
 // WallUS/SerialUS — the speedup ceiling if all fan-out time went to
 // zero; 0 means no serial time was measured (no ceiling observed).
-func BuildEfficiency(s *sched.Snapshot, wallUS int64, queueWaitSeconds float64, workers int) *Efficiency {
+func BuildEfficiency(s *sched.Snapshot, wallUS int64, workers int) *Efficiency {
 	if s == nil {
 		return nil
 	}
 	e := &Efficiency{
 		Workers:        workers,
 		WallUS:         wallUS,
-		QueueWaitUS:    int64(queueWaitSeconds * 1e6),
 		OpenFanouts:    s.OpenFanouts,
 		AbortedFanouts: s.AbortedFanouts,
 		Phases:         make([]PhaseEfficiency, 0, len(s.Labels)),
 	}
-	var workerUSTotal int64
 	for _, a := range s.Labels {
 		p := PhaseEfficiency{
 			Label:     a.Label,
@@ -92,7 +88,6 @@ func BuildEfficiency(s *sched.Snapshot, wallUS int64, queueWaitSeconds float64, 
 			}
 		}
 		e.ParallelUS += a.TopWallUS
-		workerUSTotal += a.WorkerUS
 		e.Phases = append(e.Phases, p)
 	}
 	sort.Slice(e.Phases, func(i, j int) bool { return e.Phases[i].Label < e.Phases[j].Label })
@@ -108,15 +103,6 @@ func BuildEfficiency(s *sched.Snapshot, wallUS int64, queueWaitSeconds float64, 
 	}
 	if e.SerialUS > 0 {
 		e.AmdahlMaxSpeedup = float64(e.WallUS) / float64(e.SerialUS)
-	}
-	if workerUSTotal > 0 {
-		e.QueueWaitShare = float64(e.QueueWaitUS) / float64(workerUSTotal)
-		if e.QueueWaitShare > 1 {
-			e.QueueWaitShare = 1
-		}
-		if e.QueueWaitShare < 0 {
-			e.QueueWaitShare = 0
-		}
 	}
 	return e
 }
@@ -149,9 +135,6 @@ func (e *Efficiency) Validate() error {
 	if e.SerialFraction < 0 || e.SerialFraction > 1 {
 		return fmt.Errorf("efficiency: serial fraction %g outside [0,1]", e.SerialFraction)
 	}
-	if e.QueueWaitShare < 0 || e.QueueWaitShare > 1 {
-		return fmt.Errorf("efficiency: queue-wait share %g outside [0,1]", e.QueueWaitShare)
-	}
 	for _, p := range e.Phases {
 		if p.Utilization < 0 || p.Utilization > 1 {
 			return fmt.Errorf("efficiency: phase %s utilization %g outside [0,1]", p.Label, p.Utilization)
@@ -174,8 +157,6 @@ func WriteEfficiency(w io.Writer, e *Efficiency) {
 	fmt.Fprintf(w, "  wall %.3fms = parallel %.3fms + serial %.3fms (serial fraction %.1f%%, Amdahl max speedup %.2fx)\n",
 		float64(e.WallUS)/1e3, float64(e.ParallelUS)/1e3, float64(e.SerialUS)/1e3,
 		e.SerialFraction*100, e.AmdahlMaxSpeedup)
-	fmt.Fprintf(w, "  queue wait %.3fms (%.1f%% of worker capacity)\n",
-		float64(e.QueueWaitUS)/1e3, e.QueueWaitShare*100)
 	if e.OpenFanouts != 0 || e.AbortedFanouts != 0 {
 		fmt.Fprintf(w, "  WARNING: unbalanced lanes — %d open, %d aborted fan-out(s)\n",
 			e.OpenFanouts, e.AbortedFanouts)

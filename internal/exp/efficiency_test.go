@@ -12,7 +12,7 @@ import (
 )
 
 func TestBuildEfficiencyNilSnapshot(t *testing.T) {
-	if e := BuildEfficiency(nil, 1000, 0, 4); e != nil {
+	if e := BuildEfficiency(nil, 1000, 4); e != nil {
 		t.Fatalf("BuildEfficiency(nil snapshot) = %+v, want nil (additive-section contract)", e)
 	}
 }
@@ -44,8 +44,7 @@ func TestBuildEfficiencyProperties(t *testing.T) {
 				MaxWorkers: workers,
 			})
 		}
-		queueWait := rng.Float64() * 10 // seconds, may exceed capacity — share must clamp
-		e := BuildEfficiency(s, wall, queueWait, 4)
+		e := BuildEfficiency(s, wall, 4)
 		if e == nil {
 			t.Fatal("BuildEfficiency returned nil for a non-nil snapshot")
 		}
@@ -73,7 +72,7 @@ func TestBuildEfficiencyClampsOvershoot(t *testing.T) {
 		{Label: "a", WallUS: 900, TopWallUS: 900, BusyUS: 900, WorkerUS: 900, MaxWorkers: 1},
 		{Label: "b", WallUS: 400, TopWallUS: 400, BusyUS: 400, WorkerUS: 400, MaxWorkers: 1},
 	}}
-	e := BuildEfficiency(s, 1000, 0, 1)
+	e := BuildEfficiency(s, 1000, 1)
 	if e.ParallelUS != 1000 || e.SerialUS != 0 {
 		t.Fatalf("split = parallel %d serial %d, want 1000/0 (clamped)", e.ParallelUS, e.SerialUS)
 	}
@@ -86,7 +85,7 @@ func TestEfficiencyValidateRejects(t *testing.T) {
 	base := func() *Efficiency {
 		return BuildEfficiency(&sched.Snapshot{Enabled: true, Labels: []sched.LabelAgg{
 			{Label: "a", WallUS: 500, TopWallUS: 500, BusyUS: 500, WorkerUS: 500, MaxWorkers: 1},
-		}}, 1000, 0, 1)
+		}}, 1000, 1)
 	}
 	var nilE *Efficiency
 	if err := nilE.Validate(); err == nil {
@@ -147,7 +146,7 @@ func TestBuildEfficiencyFromRealRun(t *testing.T) {
 	if wallUS <= 0 {
 		wallUS = 1
 	}
-	e := BuildEfficiency(sched.Capture(), wallUS, 0.000123, par.Workers())
+	e := BuildEfficiency(sched.Capture(), wallUS, par.Workers())
 	if e == nil {
 		t.Fatal("nil report from a live recorder")
 	}
@@ -163,9 +162,6 @@ func TestBuildEfficiencyFromRealRun(t *testing.T) {
 	if e.Phases[0].Tasks != 24 || e.Phases[1].Tasks != 12 {
 		t.Fatalf("task counts = %d, %d, want 24, 12", e.Phases[0].Tasks, e.Phases[1].Tasks)
 	}
-	if e.QueueWaitUS != 123 {
-		t.Fatalf("QueueWaitUS = %d, want 123", e.QueueWaitUS)
-	}
 }
 
 func TestWriteEfficiencyRendering(t *testing.T) {
@@ -175,17 +171,16 @@ func TestWriteEfficiencyRendering(t *testing.T) {
 		t.Fatalf("nil report rendered %q", sb.String())
 	}
 	e := BuildEfficiency(&sched.Snapshot{Enabled: true, Labels: []sched.LabelAgg{
-		{Label: "chase.spec", Fanouts: 3, Tasks: 30, WallUS: 600, TopWallUS: 600,
+		{Label: "core.pi", Fanouts: 3, Tasks: 30, WallUS: 600, TopWallUS: 600,
 			BusyUS: 900, WorkerUS: 1200, MaxWorkers: 2},
-	}}, 1000, 0.0001, 2)
+	}}, 1000, 2)
 	WriteEfficiency(&sb, e)
 	out := sb.String()
 	for _, want := range []string{
 		"Parallel efficiency (workers=2)",
-		"chase.spec",
+		"core.pi",
 		"75.0% utilization",
 		"serial fraction 40.0%",
-		"queue wait",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendering missing %q:\n%s", want, out)
@@ -196,7 +191,7 @@ func TestWriteEfficiencyRendering(t *testing.T) {
 func TestBenchReportEfficiencyRoundtrip(t *testing.T) {
 	e := BuildEfficiency(&sched.Snapshot{Enabled: true, Labels: []sched.LabelAgg{
 		{Label: "a", WallUS: 10, TopWallUS: 10, BusyUS: 10, WorkerUS: 10, MaxWorkers: 1},
-	}}, 100, 0, 1)
+	}}, 100, 1)
 	r := NewBenchReport("efficiency-test", obs.Snapshot{})
 	r.Efficiency = e
 	var sb strings.Builder

@@ -26,7 +26,7 @@ func matchKeys(s *store.Store, body []logic.Atom) []string {
 // over one shared store under the race detector. All per-search state
 // (substitution, atom order, fact assignment, instrumentation tallies)
 // must be goroutine-local — this is the property the parallel conflict
-// detection and trigger collection fan-outs rely on.
+// detection and Π-check fan-outs rely on.
 func TestConcurrentSearchesAreIndependent(t *testing.T) {
 	s := store.New()
 	consts := []logic.Term{logic.C("a"), logic.C("b"), logic.C("c")}

@@ -13,7 +13,7 @@ import (
 
 // repairTranscript runs one full two-phase repair of a fixed-seed
 // synthetic workload (CDDs + TGDs, so both naive and chase-level conflict
-// detection and the parallel trigger collection are exercised) and renders
+// detection and the chase are exercised) and renders
 // everything the user saw and did plus the final store — the byte-level
 // identity the parallel execution layer must preserve.
 func repairTranscript(t *testing.T, workers int) string {

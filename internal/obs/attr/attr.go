@@ -131,8 +131,8 @@ func Keys() []string {
 
 // CounterVec is a family of per-key counters. Each cell is a striped
 // obs.Counter, so concurrent writers on the same key (parallel conflict
-// scans of one CDD's plan, chase trigger collection) spread over stripes
-// exactly like the global counters do.
+// scans of one CDD's plan, the chases of concurrent Π-checks) spread over
+// stripes exactly like the global counters do.
 type CounterVec struct {
 	name  string
 	cells atomic.Pointer[[]*obs.Counter]

@@ -43,11 +43,11 @@ type Interval struct {
 }
 
 // LabelAgg aggregates every fan-out that ran under one label (one call
-// site: "chase.spec", "conflict.scan", …). WorkerUS is the capacity —
+// site: "core.pi", "conflict.scan", …). WorkerUS is the capacity —
 // workers × window — so BusyUS/WorkerUS is the label's utilization.
-// TopWallUS counts only non-nested fan-outs: nested ones (a chase fanning
-// out inside a Π-check worker) overlap their parent's window and must not
-// be double-counted against total wall time.
+// TopWallUS counts only non-nested fan-outs: nested ones (a fan-out
+// started from inside another fan-out's task) overlap their parent's
+// window and must not be double-counted against total wall time.
 type LabelAgg struct {
 	Label          string `json:"label"`
 	Fanouts        int64  `json:"fanouts"`

@@ -1,9 +1,18 @@
 // Package par provides the worker-pool parallel execution layer of
-// kbrepair. The pipeline's dominant costs — conflict detection (one
-// independent homomorphism search per CDD, and per pinned-atom seed in the
-// incremental tracker) and the per-round chase phases (one read-only
-// trigger search per TGD, then one speculative applicability check and head
-// instantiation per trigger) — fan out through Do/Map here.
+// kbrepair. Four pipeline stages fan out through Do/Map here, each under
+// its sched label:
+//
+//   - core.pi — the Π-check of a candidate-fix batch, one chunk of fixes
+//     per worker (core.PiChecker.CheckBatch);
+//   - conflict.scan — conflict detection, one independent homomorphism
+//     search per CDD (conflict.AllNaive / conflict.All);
+//   - conflict.ranks — position ranks over the conflict set, one chunk of
+//     conflicts per worker (conflict.PositionRanks);
+//   - inquiry.fixgen — fix generation, one active-domain enumeration per
+//     eligible position.
+//
+// The chase and the tracker's incremental update run inline: measured on
+// two CPUs, fanning them out did not pay for its dispatch cost.
 //
 // Design rules, enforced by the callers:
 //
@@ -17,8 +26,8 @@
 // The pool size is a process-wide setting (SetWorkers / the -workers CLI
 // flag, default runtime.GOMAXPROCS(0)). Workers are spawned per Do call
 // rather than kept hot: the fan-outs here are coarse (whole homomorphism
-// searches), so goroutine start-up cost is noise, and an idle process holds
-// no threads.
+// searches, Π-check chunks), so goroutine start-up cost is noise, and an
+// idle process holds no threads.
 package par
 
 import (
@@ -33,13 +42,10 @@ import (
 	"kbrepair/internal/obs/sched"
 )
 
-// Pool instrumentation: tasks executed, the configured pool size, and the
-// time tasks spend queued before a worker picks them up (nonzero queue wait
-// means the fan-out is wider than the pool — more workers would help).
+// Pool instrumentation: tasks executed and the configured pool size.
 var (
-	mTasks     = obs.NewCounter("par.tasks")
-	gWorkers   = obs.NewGauge("par.workers")
-	mQueueWait = obs.NewHistogram("par.queue_wait_seconds", obs.LatencyBuckets)
+	mTasks   = obs.NewCounter("par.tasks")
+	gWorkers = obs.NewGauge("par.workers")
 )
 
 // workers holds the configured pool size; 0 means "unset, use
@@ -77,7 +83,7 @@ func SetWorkers(n int) int {
 func AddFlags(fs *flag.FlagSet) *int {
 	n := new(int)
 	fs.IntVar(n, "workers", 0,
-		fmt.Sprintf("parallel worker count for conflict detection and the chase's trigger-collection and speculative-firing phases (0 = GOMAXPROCS, currently %d)", runtime.GOMAXPROCS(0)))
+		fmt.Sprintf("parallel worker count for Π-checking, conflict detection, position ranking and fix generation (0 = GOMAXPROCS, currently %d)", runtime.GOMAXPROCS(0)))
 	return n
 }
 
@@ -95,7 +101,7 @@ func Configure(n *int) { SetWorkers(*n) }
 func Do(n int, fn func(i int)) { DoNamed("par.do", n, fn) }
 
 // DoNamed is Do with a fan-out label: the phase name the sched lane
-// recorder aggregates under ("chase.spec", "conflict.scan", …), which
+// recorder aggregates under ("core.pi", "conflict.scan", …), which
 // becomes the per-phase row of kbbench's efficiency report. The label
 // changes no execution behavior — lane recording is observability-only,
 // nil-cost when disabled, and its records never enter the trace stream,
@@ -125,7 +131,6 @@ func DoNamed(label string, n int, fn func(i int)) {
 	// Only true fan-outs are flight-recorded; inline runs would flood the
 	// ring with events that carry no scheduling information.
 	flight.Record(flight.KindParDispatch, int64(n), int64(w), 0, 0)
-	enq := obs.StartTimer()
 	var (
 		next     atomic.Int64
 		wg       sync.WaitGroup
@@ -141,7 +146,6 @@ func DoNamed(label string, n int, fn func(i int)) {
 				if i >= n {
 					return
 				}
-				mQueueWait.Since(enq)
 				t0 := fo.Start()
 				func() {
 					defer func() {

@@ -23,7 +23,7 @@ func buildReadStore(t testing.TB) *Store {
 // TestConcurrentReaders exercises the store's documented concurrency
 // contract — concurrent reads are safe while no writer runs — under the
 // race detector: many goroutines hammer every read-side accessor the
-// parallel conflict-detection and trigger-collection paths use
+// parallel conflict-detection and fix-generation paths use
 // (Candidates, CandidatesByPred, ActiveDomain, FactRef, Value, Contains),
 // and each checks its reads against a pre-computed expectation.
 func TestConcurrentReaders(t *testing.T) {

@@ -25,9 +25,9 @@
 // SetValue, FreshNull, ReserveNulls) in the same window. Writes require
 // exclusive access; the caller provides that exclusion — the store has no
 // internal locking, because the repair pipeline's phases are already strictly
-// "parallel read, then sequential write" (parallel conflict detection, chase
-// trigger collection and speculative rule firing read; fix application and
-// the chase commit phase write from one goroutine between fan-outs). Metric
+// "parallel read, then sequential write" (parallel conflict detection, fix
+// generation and position ranking read; fix application and the chase
+// write from one goroutine between fan-outs). Metric
 // increments inside read paths are atomic and do not break the contract.
 package store
 
@@ -477,9 +477,8 @@ func (s *Store) FreshNull() logic.Term {
 // chase firing coordinate (round, rule index, trigger index, existential-var
 // index): "n<round>r<rule>t<trig>x<ex>". The label is a function of the
 // coordinate alone — not of any allocation counter — so a firing's nulls do
-// not depend on which firings preceded it, which is what lets chase rule
-// firing fan out across workers while staying byte-identical at every worker
-// count. All characters are identifier-safe for the parser's "_:label" null
+// not depend on which firings preceded it or on how many nulls the store
+// handed out before the chase began. All characters are identifier-safe for the parser's "_:label" null
 // syntax, and the shape is never purely numeric, so the FreshNull
 // auto-reserve in adomAdd ignores it.
 func CoordNullLabel(round, rule, trig, ex int) string {
