@@ -5,7 +5,7 @@ GO ?= go
 BENCH_ARGS ?= -exp fig3 -scale 0.25 -reps 3 -seed 1
 BENCH_THRESHOLD ?= 1.25
 
-.PHONY: build test verify verify2 bench bench-check bench-check-report bench-go bench-smoke bench-workers bench-workers-smoke bench-plans-smoke bundle-smoke trace-smoke sched-smoke ci
+.PHONY: build test verify verify2 bench bench-check bench-check-report bench-go bench-smoke bench-workers bench-workers-smoke bench-plans-smoke bundle-smoke trace-smoke perfbench-test ci
 
 build:
 	$(GO) build ./...
@@ -56,7 +56,7 @@ bench-go:
 # once — a fast CI check that the benchmark suite (the allocation guards
 # included) still builds and executes, without timing anything.
 bench-smoke:
-	$(GO) test -bench 'Homo|Flight|Attr|Sched' -benchtime=1x ./internal/...
+	$(GO) test -bench 'Homo|Flight|Attr' -benchtime=1x ./internal/...
 
 # bench-workers runs the same workload at -workers 1 and -workers 4 and
 # compares the two reports: the parallel-speedup evidence for the README
@@ -113,26 +113,13 @@ trace-smoke:
 	$(GO) run ./cmd/kbtrace -waterfall smoke-trace/run.trace
 	$(GO) run ./cmd/kbtrace -critical-path -chrome smoke-trace/chrome.json smoke-trace/run.trace
 
-# sched-smoke exercises the parallel-efficiency pipeline end to end at two
-# worker counts: -efficiency-check makes kbbench fail unless the lane books
-# balance (no open/aborted fan-outs), every utilization and fraction lands
-# in [0,1] and parallel + serial time sums back to the measured wall time;
-# the grep then asserts the efficiency section actually reached BENCH.json.
-# A -sched snapshot from kbrepair is fed back through kbtrace to cover the
-# snapshot-file path too.
-sched-smoke:
-	rm -rf smoke-sched && mkdir -p smoke-sched
-	$(GO) run ./cmd/kbbench -exp fig3 -scale 0.1 -reps 1 -seed 1 -workers 1 \
-		-json smoke-sched/bench1.json -efficiency-check
-	$(GO) run ./cmd/kbbench -exp fig3 -scale 0.1 -reps 1 -seed 1 -workers 4 \
-		-json smoke-sched/bench4.json -efficiency-check
-	grep -q '"efficiency"' smoke-sched/bench1.json
-	grep -q '"efficiency"' smoke-sched/bench4.json
-	$(GO) run ./cmd/kbgen -facts 120 -ratio 0.2 -cdds 5 -seed 1 -quiet -out smoke-sched/smoke.kb
-	$(GO) run ./cmd/kbrepair -kb smoke-sched/smoke.kb -auto -seed 1 -workers 4 \
-		-trace smoke-sched/run.trace -sched smoke-sched/sched.json
-	$(GO) run ./cmd/kbtrace -sched smoke-sched/sched.json -chrome smoke-sched/chrome.json smoke-sched/run.trace
+# perfbench-test vets and tests the perfbench module. go test ./... at the
+# root skips it (it is its own module), yet it imports internal/par,
+# inquiry, core and conflict, so a change there can break it silently.
+perfbench-test:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # ci is the whole gate in one target, mirroring .github/workflows/ci.yml
 # for environments without Actions.
-ci: verify verify2 bench-smoke bench-check-report bench-plans-smoke bundle-smoke trace-smoke sched-smoke
+ci: verify verify2 perfbench-test bench-smoke bench-check-report bench-plans-smoke bundle-smoke trace-smoke

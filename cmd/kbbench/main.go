@@ -19,14 +19,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"kbrepair/internal/durum"
 	"kbrepair/internal/exp"
 	"kbrepair/internal/obs"
 	"kbrepair/internal/obs/attr"
 	"kbrepair/internal/obs/flight"
-	"kbrepair/internal/obs/sched"
 	"kbrepair/internal/par"
 )
 
@@ -41,12 +39,10 @@ func main() {
 		baseline  = flag.String("baseline", "", "compare this run against a prior -json report; exit non-zero on regression")
 		threshold = flag.Float64("threshold", 1.25, "regression threshold for -baseline: fail when new mean > old mean x this")
 		regressOK = flag.Bool("regress-ok", false, "with -baseline: report regressions but exit zero (CI report-only mode)")
-		effCheck  = flag.Bool("efficiency-check", false, "with -json/-baseline: fail unless the efficiency section exists, its numbers are internally consistent and lane events balanced (the sched-smoke gate)")
 		plnCheck  = flag.Bool("plans-check", false, "with -json/-baseline: fail unless every profiled body carries a compiled-plan annotation and none silently fell back to the adaptive kernel (the bench-plans-smoke gate)")
 	)
 	obsCfg := obs.AddFlags(flag.CommandLine)
 	flightCfg := flight.AddFlags(flag.CommandLine)
-	schedCfg := sched.AddFlags(flag.CommandLine)
 	workersFlag := par.AddFlags(flag.CommandLine)
 	flag.Parse()
 	if err := obs.ValidateFlags(flag.CommandLine, "workers"); err != nil {
@@ -60,34 +56,22 @@ func main() {
 		os.Exit(1)
 	}
 	finish := flight.Setup("kbbench", *flightCfg)
-	schedFlush, err := sched.SetupCLI(*schedCfg, *obsCfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kbbench:", err)
-		os.Exit(1)
-	}
 	benching := *benchJSON != "" || *baseline != ""
 	var benchRing *obs.RingSink
 	if benching {
 		// The report's latency summaries need the opt-in timers on, and its
 		// trace section a span stream of the benchmarked runs — a large ring
-		// teed onto whatever sink -trace may have installed. The efficiency
-		// section needs the lane recorder, which SetupCLI only arms when
-		// -sched or -pprof was given.
+		// teed onto whatever sink -trace may have installed.
 		obs.SetEnabled(true)
 		benchRing = obs.NewRingSink(1 << 17)
 		obs.AddTraceSink(benchRing)
-		if !sched.Enabled() {
-			sched.Enable(0)
-		}
 	}
 	// The report's profile section and the observability outputs both want
 	// per-rule attribution; plain table runs skip its memory cost.
 	attr.SetEnabled(benching || obsCfg.Enabled())
 
 	out := bufio.NewWriter(os.Stdout)
-	wallStart := time.Now()
 	runErr := run(out, *which, *scale, *reps, *seed)
-	wallUS := time.Since(wallStart).Microseconds()
 	if runErr == nil && obsCfg.Enabled() {
 		exp.WriteMetrics(out, obs.Default().Snapshot())
 	}
@@ -98,21 +82,12 @@ func main() {
 		rep.Profile = exp.BuildProfile(attr.Capture(), snap)
 		exp.WriteProfile(out, rep.Profile)
 		rep.Trace = exp.BuildTraceSummary(benchRing.Records(), benchRing.Total())
-		rep.Efficiency = exp.BuildEfficiency(sched.Capture(), wallUS, par.Workers())
-		exp.WriteEfficiency(out, rep.Efficiency)
-		if *effCheck {
-			if err := rep.Efficiency.Validate(); err != nil {
-				runErr = err
-			}
-		}
-		if runErr == nil && *plnCheck {
+		if *plnCheck {
 			runErr = exp.CheckPlans(rep.Profile)
 		}
 		if runErr == nil {
 			runErr = benchBaseline(out, rep, *benchJSON, *baseline, *threshold, *regressOK)
 		}
-	} else if *effCheck && runErr == nil {
-		runErr = fmt.Errorf("-efficiency-check requires -json or -baseline")
 	} else if *plnCheck && runErr == nil {
 		runErr = fmt.Errorf("-plans-check requires -json or -baseline")
 	}
@@ -120,9 +95,6 @@ func main() {
 		runErr = fmt.Errorf("writing output: %w", err)
 	}
 	if err := finish(); err != nil && runErr == nil {
-		runErr = err
-	}
-	if err := schedFlush(); err != nil && runErr == nil {
 		runErr = err
 	}
 	if err := flush(); err != nil && runErr == nil {

@@ -1,18 +1,14 @@
 package main
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"kbrepair/internal/exp"
 	"kbrepair/internal/obs"
-	"kbrepair/internal/obs/sched"
-	"kbrepair/internal/par"
 )
 
 func TestScaleInt(t *testing.T) {
@@ -131,37 +127,5 @@ func TestRunTinyExperiments(t *testing.T) {
 		if err := run(io.Discard, exp, 0.02, 1, 1); err != nil {
 			t.Errorf("%s: %v", exp, err)
 		}
-	}
-}
-
-// TestEfficiencyEndToEnd mirrors the -json -efficiency-check assembly in
-// main: run a scaled-down experiment under a live lane recorder, build the
-// efficiency section exactly the way the CLI does, and require it to pass
-// its own validation — balanced lanes, consistent wall-time split.
-func TestEfficiencyEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	sched.Enable(0)
-	defer sched.Disable()
-	wallStart := time.Now()
-	if err := run(io.Discard, "fig3", 0.02, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	wallUS := time.Since(wallStart).Microseconds()
-	eff := exp.BuildEfficiency(sched.Capture(), wallUS, par.Workers())
-	if eff == nil {
-		t.Fatal("no efficiency report from an enabled recorder")
-	}
-	if err := eff.Validate(); err != nil {
-		t.Fatalf("efficiency validation after a real benchmark run: %v\nreport: %+v", err, eff)
-	}
-	if len(eff.Phases) == 0 {
-		t.Fatal("no phases recorded; fig3 should fan out through par")
-	}
-	var buf bytes.Buffer
-	exp.WriteEfficiency(&buf, eff)
-	if !strings.Contains(buf.String(), "Parallel efficiency") {
-		t.Errorf("rendering missing header:\n%s", buf.String())
 	}
 }

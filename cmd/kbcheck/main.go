@@ -23,7 +23,6 @@ import (
 	"kbrepair/internal/obs"
 	"kbrepair/internal/obs/attr"
 	"kbrepair/internal/obs/flight"
-	"kbrepair/internal/obs/sched"
 	"kbrepair/internal/par"
 )
 
@@ -36,7 +35,6 @@ func main() {
 	)
 	obsCfg := obs.AddFlags(flag.CommandLine)
 	flightCfg := flight.AddFlags(flag.CommandLine)
-	schedCfg := sched.AddFlags(flag.CommandLine)
 	workersFlag := par.AddFlags(flag.CommandLine)
 	flag.Parse()
 	if err := obs.ValidateFlags(flag.CommandLine, "workers"); err != nil {
@@ -54,11 +52,6 @@ func main() {
 		os.Exit(1)
 	}
 	finish := flight.Setup("kbcheck", *flightCfg)
-	schedFlush, err := sched.SetupCLI(*schedCfg, *obsCfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kbcheck:", err)
-		os.Exit(1)
-	}
 	attr.SetEnabled(obsCfg.Enabled())
 	out := bufio.NewWriter(os.Stdout)
 	runErr := run(out, *kbPath, *listConflicts, *explain, *flightCfg)
@@ -66,9 +59,6 @@ func main() {
 		runErr = fmt.Errorf("writing output: %w", err)
 	}
 	if err := finish(); err != nil && runErr == nil {
-		runErr = err
-	}
-	if err := schedFlush(); err != nil && runErr == nil {
 		runErr = err
 	}
 	if err := flush(); err != nil && runErr == nil {

@@ -161,7 +161,6 @@ func run(w io.Writer, path string, timeline bool, tail int, withMetrics, gorouti
 	writeDigest(w, b)
 	writeJournal(w, b)
 	writeTrace(w, b)
-	writeSched(w, b)
 	writeRuntime(w, b)
 	writeAnomalies(w, events)
 	if profile {
@@ -208,35 +207,6 @@ func writeManifest(w io.Writer, b *flight.Bundle) {
 	if b.HeapProfile != "" || b.MutexProfile != "" || b.BlockProfile != "" {
 		fmt.Fprintf(w, "  profiles: heap %dB, mutex %dB, block %dB\n",
 			len(b.HeapProfile), len(b.MutexProfile), len(b.BlockProfile))
-	}
-	fmt.Fprintln(w)
-}
-
-// writeSched renders the bundle's worker-lane section: per-phase
-// utilization aggregates from the sched recorder. Absent when lane
-// recording was off at capture time.
-func writeSched(w io.Writer, b *flight.Bundle) {
-	if b.Sched == nil {
-		return
-	}
-	s := b.Sched
-	fmt.Fprintln(w, "== Scheduler lanes ==")
-	fmt.Fprintf(w, "  %d fanouts, %d intervals retained of %d recorded",
-		s.FanoutsTotal, s.IntervalsRetained, s.IntervalsTotal)
-	if s.OpenFanouts != 0 || s.AbortedFanouts != 0 {
-		fmt.Fprintf(w, "  UNBALANCED: %d open, %d aborted", s.OpenFanouts, s.AbortedFanouts)
-	}
-	fmt.Fprintln(w)
-	for _, a := range s.Labels {
-		util := 0.0
-		if a.WorkerUS > 0 {
-			util = float64(a.BusyUS) / float64(a.WorkerUS) * 100
-			if util > 100 {
-				util = 100
-			}
-		}
-		fmt.Fprintf(w, "  %-18s %5.1f%% utilization  %6d tasks  %5d fanouts  workers<=%d\n",
-			a.Label, util, a.Tasks, a.Fanouts, a.MaxWorkers)
 	}
 	fmt.Fprintln(w)
 }

@@ -18,7 +18,6 @@ import (
 	"kbrepair"
 	"kbrepair/internal/obs"
 	"kbrepair/internal/obs/flight"
-	"kbrepair/internal/obs/sched"
 	"kbrepair/internal/par"
 )
 
@@ -39,7 +38,6 @@ func main() {
 	)
 	obsCfg := obs.AddFlags(flag.CommandLine)
 	flightCfg := flight.AddFlags(flag.CommandLine)
-	schedCfg := sched.AddFlags(flag.CommandLine)
 	workersFlag := par.AddFlags(flag.CommandLine)
 	flag.Parse()
 	if err := obs.ValidateFlags(flag.CommandLine, "workers"); err != nil {
@@ -53,16 +51,8 @@ func main() {
 		os.Exit(1)
 	}
 	finish := flight.Setup("kbgen", *flightCfg)
-	schedFlush, err := sched.SetupCLI(*schedCfg, *obsCfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kbgen:", err)
-		os.Exit(1)
-	}
 	runErr := run(os.Stdout, *facts, *ratio, *cdds, *tgds, *depth, *joinVar, *preds, *seed, *durumVer, *outPath, *quiet)
 	if err := finish(); err != nil && runErr == nil {
-		runErr = err
-	}
-	if err := schedFlush(); err != nil && runErr == nil {
 		runErr = err
 	}
 	if err := flush(); err != nil && runErr == nil {

@@ -27,7 +27,6 @@ import (
 	"kbrepair/internal/obs"
 	"kbrepair/internal/obs/attr"
 	"kbrepair/internal/obs/flight"
-	"kbrepair/internal/obs/sched"
 	"kbrepair/internal/par"
 )
 
@@ -47,7 +46,6 @@ func main() {
 	)
 	obsCfg := obs.AddFlags(flag.CommandLine)
 	flightCfg := flight.AddFlags(flag.CommandLine)
-	schedCfg := sched.AddFlags(flag.CommandLine)
 	workersFlag := par.AddFlags(flag.CommandLine)
 	flag.Parse()
 	if err := obs.ValidateFlags(flag.CommandLine, "workers"); err != nil {
@@ -65,19 +63,11 @@ func main() {
 		os.Exit(1)
 	}
 	finish := flight.Setup("kbrepair", *flightCfg)
-	schedFlush, err := sched.SetupCLI(*schedCfg, *obsCfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kbrepair:", err)
-		os.Exit(1)
-	}
 	// Per-rule attribution rides along with the observability outputs: any
 	// -metrics/-trace/-pprof/-timeseries run gets a /profilez-able profile.
 	attr.SetEnabled(obsCfg.Enabled())
 	runErr := run(*kbPath, *stratName, *auto, *oracleKB, *seed, *outPath, *basic, *maxValues, *journal, *replay, *flightCfg)
 	if err := finish(); err != nil && runErr == nil {
-		runErr = err
-	}
-	if err := schedFlush(); err != nil && runErr == nil {
 		runErr = err
 	}
 	if err := flush(); err != nil && runErr == nil {

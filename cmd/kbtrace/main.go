@@ -11,7 +11,6 @@
 //	kbtrace -waterfall -top 5 run.trace  # only the 5 slowest questions
 //	kbtrace -critical-path run.trace     # the run's critical path
 //	kbtrace -chrome out.json run.trace   # export for Perfetto
-//	kbtrace -sched sched.json run.trace  # + worker-lane efficiency report
 //	kbrepair ... -trace /dev/stdout | kbtrace -waterfall -
 package main
 
@@ -22,8 +21,6 @@ import (
 	"io"
 	"os"
 
-	"kbrepair/internal/exp"
-	"kbrepair/internal/obs/sched"
 	"kbrepair/internal/obs/traceview"
 )
 
@@ -33,7 +30,6 @@ func main() {
 		top       = flag.Int("top", 0, "with -waterfall: only the N slowest questions (0 = all, in run order); elsewhere: rows in the span-name table (0 = all)")
 		critical  = flag.Bool("critical-path", false, "print the critical path of the run")
 		chrome    = flag.String("chrome", "", "write a Chrome trace_event JSON export to this file (use chrome://tracing or ui.perfetto.dev)")
-		schedPath = flag.String("sched", "", "also load a scheduling snapshot (written by the CLIs' -sched flag): prints the worker-lane efficiency report and adds per-lane rows to -chrome")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: kbtrace [flags] <trace.jsonl | ->\n\nAnalyze a JSONL trace produced with -trace on the kbrepair CLIs.\n\n")
@@ -46,7 +42,7 @@ func main() {
 	}
 
 	out := bufio.NewWriter(os.Stdout)
-	runErr := run(out, flag.Arg(0), *waterfall, *top, *critical, *chrome, *schedPath)
+	runErr := run(out, flag.Arg(0), *waterfall, *top, *critical, *chrome)
 	if err := out.Flush(); err != nil && runErr == nil {
 		runErr = err
 	}
@@ -58,7 +54,7 @@ func main() {
 
 // run parses the trace and renders the requested views. It is the testable
 // core: main only wires flags and exit codes around it.
-func run(out io.Writer, path string, waterfall bool, top int, critical bool, chromePath, schedPath string) error {
+func run(out io.Writer, path string, waterfall bool, top int, critical bool, chromePath string) error {
 	f, err := parseTrace(path)
 	if err != nil {
 		return err
@@ -66,19 +62,8 @@ func run(out io.Writer, path string, waterfall bool, top int, critical bool, chr
 	if f.Spans() == 0 && len(f.Events) == 0 {
 		return fmt.Errorf("%s: empty trace", path)
 	}
-	var snap *sched.Snapshot
-	if schedPath != "" {
-		snap, err = sched.ReadSnapshotFile(schedPath)
-		if err != nil {
-			return err
-		}
-	}
 
 	anyView := false
-	if snap != nil {
-		anyView = true
-		printSched(out, f, snap)
-	}
 	if waterfall {
 		anyView = true
 		if err := printWaterfalls(out, f, top); err != nil {
@@ -91,47 +76,15 @@ func run(out io.Writer, path string, waterfall bool, top int, critical bool, chr
 	}
 	if chromePath != "" {
 		anyView = true
-		var lanes []sched.Interval
-		if snap != nil {
-			lanes = snap.Intervals
-		}
-		if err := exportChrome(f, chromePath, lanes); err != nil {
+		if err := exportChrome(f, chromePath); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "chrome trace_event export written to %s\n", chromePath)
 	}
-	if !anyView || (snap != nil && !waterfall && !critical && chromePath == "") {
+	if !anyView {
 		printSummary(out, f, top)
 	}
 	return nil
-}
-
-// printSched renders the worker-lane efficiency report of a -sched
-// snapshot against the trace's wall clock: the run window observed in the
-// span forest bounds the Amdahl decomposition.
-func printSched(out io.Writer, f *traceview.Forest, snap *sched.Snapshot) {
-	var loUS, hiUS int64
-	first := true
-	f.Walk(func(s *traceview.Span) {
-		if first || s.StartUS < loUS {
-			loUS = s.StartUS
-		}
-		if end := s.StartUS + s.DurUS; first || end > hiUS {
-			hiUS = end
-		}
-		first = false
-	})
-	wallUS := hiUS - loUS
-	workers := 0
-	for _, a := range snap.Labels {
-		if a.MaxWorkers > workers {
-			workers = a.MaxWorkers
-		}
-	}
-	eff := exp.BuildEfficiency(snap, wallUS, workers)
-	exp.WriteEfficiency(out, eff)
-	fmt.Fprintf(out, "  %d lane intervals retained (%d recorded, %d fanouts)\n",
-		snap.IntervalsRetained, snap.IntervalsTotal, snap.FanoutsTotal)
 }
 
 func parseTrace(path string) (*traceview.Forest, error) {
@@ -229,13 +182,13 @@ func printSummary(out io.Writer, f *traceview.Forest, top int) {
 
 // exportChrome writes the trace_event file and re-reads it through the
 // validator, so a reported success means a file the viewers will load.
-func exportChrome(f *traceview.Forest, path string, lanes []sched.Interval) error {
+func exportChrome(f *traceview.Forest, path string) error {
 	file, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	w := bufio.NewWriter(file)
-	if err := traceview.WriteChromeWithLanes(w, f, lanes); err != nil {
+	if err := traceview.WriteChrome(w, f); err != nil {
 		file.Close()
 		return fmt.Errorf("chrome export: %w", err)
 	}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +10,6 @@ import (
 
 	"kbrepair/internal/inquiry"
 	"kbrepair/internal/obs"
-	"kbrepair/internal/obs/sched"
 	"kbrepair/internal/synth"
 )
 
@@ -82,7 +80,7 @@ func TestRegenerateFixture(t *testing.T) {
 func goldenTest(t *testing.T, name string, waterfall bool, top int, critical bool) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := run(&buf, fixturePath, waterfall, top, critical, "", ""); err != nil {
+	if err := run(&buf, fixturePath, waterfall, top, critical, ""); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	golden := filepath.Join("testdata", name+".golden")
@@ -109,7 +107,7 @@ func TestSummaryGolden(t *testing.T)      { goldenTest(t, "summary", false, 0, f
 // TestWaterfallTop checks the -top selection: fewer blocks, slowest first.
 func TestWaterfallTop(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, fixturePath, true, 1, false, "", ""); err != nil {
+	if err := run(&buf, fixturePath, true, 1, false, ""); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	out := buf.String()
@@ -126,7 +124,7 @@ func TestWaterfallTop(t *testing.T) {
 func TestChromeExportFixture(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "trace.json")
 	var buf bytes.Buffer
-	if err := run(&buf, fixturePath, false, 0, false, out, ""); err != nil {
+	if err := run(&buf, fixturePath, false, 0, false, out); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	b, err := os.ReadFile(out)
@@ -145,7 +143,7 @@ func TestEmptyTraceErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := run(&buf, empty, false, 0, false, "", ""); err == nil || !strings.Contains(err.Error(), "empty trace") {
+	if err := run(&buf, empty, false, 0, false, ""); err == nil || !strings.Contains(err.Error(), "empty trace") {
 		t.Errorf("err = %v, want empty-trace error", err)
 	}
 }
@@ -159,76 +157,7 @@ func TestNoQuestionsWaterfallErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := run(&buf, p, true, 0, false, "", ""); err == nil || !strings.Contains(err.Error(), "no inquiry.question spans") {
+	if err := run(&buf, p, true, 0, false, ""); err == nil || !strings.Contains(err.Error(), "no inquiry.question spans") {
 		t.Errorf("err = %v, want no-question-spans error", err)
-	}
-}
-
-// TestSchedSnapshotReport feeds a -sched snapshot alongside the fixture
-// trace: the efficiency report renders against the trace's wall window,
-// and -chrome picks up the lane intervals as per-lane rows.
-func TestSchedSnapshotReport(t *testing.T) {
-	snap := &sched.Snapshot{
-		Enabled:           true,
-		FanoutsTotal:      2,
-		IntervalsTotal:    3,
-		IntervalsRetained: 3,
-		Labels: []sched.LabelAgg{
-			{Label: "conflict.scan", Fanouts: 2, Tasks: 3, WallUS: 400, TopWallUS: 400,
-				BusyUS: 600, WorkerUS: 800, MaxWorkers: 2},
-		},
-		Intervals: []sched.Interval{
-			{Fanout: 1, Label: "conflict.scan", Lane: 0, Task: 0, StartUS: 1000, EndUS: 1100},
-			{Fanout: 1, Label: "conflict.scan", Lane: 1, Task: 1, StartUS: 1000, EndUS: 1200},
-			{Fanout: 2, Label: "conflict.scan", Lane: 0, Task: 2, StartUS: 1300, EndUS: 1400},
-		},
-	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapPath := filepath.Join(t.TempDir(), "sched.json")
-	if err := os.WriteFile(snapPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := run(&buf, fixturePath, false, 0, false, "", snapPath); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"Parallel efficiency (workers=2)",
-		"conflict.scan",
-		"75.0% utilization",
-		"3 lane intervals retained",
-		"spans, ", // -sched alone still prints the summary table
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-
-	chromePath := filepath.Join(t.TempDir(), "trace.chrome.json")
-	buf.Reset()
-	if err := run(&buf, fixturePath, false, 0, false, chromePath, snapPath); err != nil {
-		t.Fatalf("run with -chrome -sched: %v", err)
-	}
-	exported, err := os.ReadFile(chromePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"tid": 100`, `"tid": 101`, `"worker lane 1"`} {
-		if !strings.Contains(string(exported), want) {
-			t.Errorf("chrome export missing %s", want)
-		}
-	}
-}
-
-func TestSchedSnapshotMissingFile(t *testing.T) {
-	var buf bytes.Buffer
-	err := run(&buf, fixturePath, false, 0, false, "", filepath.Join(t.TempDir(), "nope.json"))
-	if err == nil || !strings.Contains(err.Error(), "sched snapshot") {
-		t.Fatalf("missing snapshot not reported: %v", err)
 	}
 }

@@ -63,11 +63,6 @@ type BenchReport struct {
 	// built from the span stream (additive section: absent in older files
 	// and when no spans were collected).
 	Trace *TraceSummary `json:"trace,omitempty"`
-	// Efficiency is the parallel-efficiency report built from the sched
-	// lane recorder: per-phase worker utilization, the serial fraction and
-	// the Amdahl-implied speedup ceiling (additive section: absent in older
-	// files and when lane recording was off).
-	Efficiency *Efficiency `json:"efficiency,omitempty"`
 }
 
 // TraceComponent is one named slice of aggregate question latency: means

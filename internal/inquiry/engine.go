@@ -228,19 +228,19 @@ func (e *Engine) maxQuestions() int {
 // external mutation of the KB mid-inquiry).
 var ErrUnanswerable = errors.New("inquiry: no sound question for a live conflict")
 
-// ask generates a sound question for the conflict (via the strategy),
-// presents it to the user, applies the chosen fix and updates Π. It returns
-// the offered positions and the round record.
+// ask generates a sound question for the conflict over the positions the
+// positions step selects, presents it to the user, applies the chosen fix
+// and updates Π. It returns the offered positions and the round record.
 //
 // qsp is this question's trace span (inert when tracing is off); ask hangs
-// its phases under it — inquiry.sound_question for strategy position
-// selection plus SOUNDQUESTION (whose Π-batches parent themselves under it
-// via the checker's trace parent), inquiry.user_answer for the time the
+// its phases under it — inquiry.sound_question for position selection
+// plus SOUNDQUESTION (whose Π-batches parent themselves under it via the
+// checker's trace parent), inquiry.user_answer for the time the
 // user holds the question. The caller ends qsp after the post-answer
 // conflict maintenance, so the span's full duration also covers tracker
 // updates / re-scans, and the waterfall's unattributed remainder is
 // genuine engine overhead.
-func (e *Engine) ask(cs []*conflict.Conflict, x *conflict.Conflict, phase int, qsp obs.Span) ([]core.Position, Round, error) {
+func (e *Engine) ask(cs []*conflict.Conflict, x *conflict.Conflict, phase int, qsp obs.Span, positionsStep func() []core.Position) ([]core.Position, Round, error) {
 	t0 := obs.Now()
 	// Attribute the Π-checks this question will run — and the question
 	// itself — to the CDD whose conflict is being resolved.
@@ -251,7 +251,7 @@ func (e *Engine) ask(cs []*conflict.Conflict, x *conflict.Conflict, phase int, q
 	}
 	ssp := qsp.Child("inquiry.sound_question")
 	e.pc.SetTraceParent(ssp.ID())
-	positions := e.Strategy.Positions(e, cs, x)
+	positions := positionsStep()
 	fixes, err := SoundQuestion(e.KB, e.pc, e.Pi, positions, e.Opts.MaxValuesPerPosition)
 	if err != nil {
 		ssp.End()
@@ -422,7 +422,7 @@ func (e *Engine) Run() (*Result, error) {
 		psp := qsp.Child("inquiry.pick_conflict")
 		x := e.Strategy.PickConflict(e, cs)
 		psp.End()
-		offered, rd, err := e.ask(cs, x, 1, qsp)
+		offered, rd, err := e.ask(cs, x, 1, qsp, func() []core.Position { return e.Strategy.Positions(e, cs, x) })
 		if err != nil {
 			qsp.End()
 			return res, err
@@ -458,7 +458,7 @@ func (e *Engine) Run() (*Result, error) {
 		psp := qsp.Child("inquiry.pick_conflict")
 		x := e.Strategy.PickConflict(e, cs)
 		psp.End()
-		offered, rd, err := e.ask(cs, x, 2, qsp)
+		offered, rd, err := e.ask(cs, x, 2, qsp, func() []core.Position { return e.Strategy.Positions(e, cs, x) })
 		if err != nil {
 			qsp.End()
 			return res, err
@@ -547,70 +547,16 @@ func (e *Engine) RunBasic() (*Result, error) {
 	for len(cs) > 0 {
 		statusRound(1, len(cs), len(res.Rounds))
 		qsp := rootSp.Child("inquiry.question")
-		t0 := obs.Now()
 		psp := qsp.Child("inquiry.pick_conflict")
 		x := pickRandom(cs, e.Rng)
 		psp.End()
-		qid := attr.None
-		if attr.Enabled() {
-			qid = conflict.AttrID(x.CDD)
-			e.pc.SetCause(qid)
-		}
-		ssp := qsp.Child("inquiry.sound_question")
-		e.pc.SetTraceParent(ssp.ID())
-		positions := x.Positions(e.KB.Facts)
-		fixes, err := SoundQuestion(e.KB, e.pc, e.Pi, positions, e.Opts.MaxValuesPerPosition)
+		_, rd, err := e.ask(cs, x, 1, qsp, func() []core.Position { return x.Positions(e.KB.Facts) })
 		if err != nil {
-			ssp.End()
 			qsp.End()
 			return res, err
-		}
-		if len(fixes) == 0 {
-			ssp.End()
-			qsp.End()
-			return res, fmt.Errorf("%w: conflict %s", ErrUnanswerable, x)
-		}
-		if ssp.Live() {
-			ssp.End(obs.Int("positions", len(positions)), obs.Int("fixes", len(fixes)))
-		}
-		q := Question{Conflict: x, Fixes: fixes, Phase: 1}
-		delay := obs.Now().Sub(t0)
-		mQuestions.Inc()
-		gAsked.Add(1)
-		mPhase1.Inc()
-		hDelay.Observe(delay.Seconds())
-		attrQuestions.Add(qid, 1)
-		attrQDelay.Observe(qid, delay.Seconds())
-		flight.Record(flight.KindQuestion, 1, int64(len(fixes)), int64(len(cs)), delay.Microseconds())
-		flight.ObserveQuestion(1, len(cs), delay)
-		usp := qsp.Child("inquiry.user_answer")
-		f, err := e.User.Choose(e.KB, q)
-		if err != nil {
-			usp.End()
-			qsp.End()
-			return res, err
-		}
-		usp.End()
-		if !q.Contains(f) {
-			qsp.End()
-			return res, fmt.Errorf("user chose %s, which is not in the question", f)
-		}
-		if _, err := e.KB.Facts.SetValue(f.Pos, f.Value); err != nil {
-			qsp.End()
-			return res, err
-		}
-		e.Pi.Add(f.Pos)
-		recordAnswer(f)
-		rd := Round{
-			Phase:           1,
-			QuestionSize:    len(fixes),
-			Answer:          f,
-			ConflictsBefore: len(cs),
-			SeriesConflicts: -1,
-			Delay:           delay,
 		}
 		res.Rounds = append(res.Rounds, rd)
-		res.AppliedFixes = append(res.AppliedFixes, f)
+		res.AppliedFixes = append(res.AppliedFixes, rd.Answer)
 		if len(res.Rounds) > e.maxQuestions() {
 			qsp.End()
 			return res, fmt.Errorf("inquiry: exceeded %d questions", e.maxQuestions())

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"kbrepair/internal/core"
-	"kbrepair/internal/obs/sched"
 	"kbrepair/internal/par"
 	"kbrepair/internal/synth"
 )
@@ -119,35 +118,6 @@ func TestPiFilterDeterministicAcrossWorkers(t *testing.T) {
 		if got := repairTranscriptOpts(t, w, params, opts); got != seq {
 			t.Fatalf("workers=%d full-Π-check transcript diverges from workers=1 (len %d vs %d)",
 				w, len(got), len(seq))
-		}
-	}
-}
-
-// TestRepairDeterministicWithSchedEnabled re-runs the end-to-end
-// determinism gate with the lane recorder on: sched recording is
-// observability-only, so transcripts and final stores must stay identical
-// across worker counts, and the lane books must balance for every run.
-func TestRepairDeterministicWithSchedEnabled(t *testing.T) {
-	t.Cleanup(func() { par.SetWorkers(0) })
-	sched.Enable(0)
-	t.Cleanup(sched.Disable)
-	seq := repairTranscript(t, 1)
-	if !strings.Contains(seq, "round 0:") {
-		t.Fatal("workload asked no questions; test would be vacuous")
-	}
-	for _, w := range []int{2, 8} {
-		sched.Enable(0) // fresh recorder per worker count
-		if got := repairTranscript(t, w); got != seq {
-			t.Fatalf("workers=%d transcript with sched enabled diverges from workers=1 (len %d vs %d)",
-				w, len(got), len(seq))
-		}
-		s := sched.Capture()
-		if s.IntervalsTotal == 0 {
-			t.Fatalf("workers=%d: no lane intervals recorded; test would be vacuous", w)
-		}
-		if s.OpenFanouts != 0 || s.AbortedFanouts != 0 {
-			t.Fatalf("workers=%d: lane books unbalanced after repair: open %d aborted %d",
-				w, s.OpenFanouts, s.AbortedFanouts)
 		}
 	}
 }

@@ -28,7 +28,8 @@ func scrape(t *testing.T, url string) (string, *http.Response) {
 }
 
 // TestDebugMuxMetricsEndpoint scrapes /metrics over real HTTP and parses
-// the Prometheus text back — the end-to-end exposition test.
+// the Prometheus text back — the end-to-end exposition test, Go runtime
+// histograms included.
 func TestDebugMuxMetricsEndpoint(t *testing.T) {
 	NewCounter("debugtest.hits").Add(3)
 	srv := httptest.NewServer(DebugMux())
@@ -45,6 +46,11 @@ func TestDebugMuxMetricsEndpoint(t *testing.T) {
 	}
 	if types["kbrepair_debugtest_hits_total"] != "counter" {
 		t.Errorf("TYPE = %q", types["kbrepair_debugtest_hits_total"])
+	}
+	for _, h := range []string{"kbrepair_runtime_gc_pauses_seconds", "kbrepair_runtime_sched_latencies_seconds"} {
+		if types[h] != "histogram" {
+			t.Errorf("runtime histogram %s: TYPE = %q, want histogram", h, types[h])
+		}
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 
 	"kbrepair/internal/obs"
 	"kbrepair/internal/obs/attr"
-	"kbrepair/internal/obs/sched"
 	"kbrepair/internal/obs/traceview"
 )
 
@@ -93,14 +92,10 @@ type Bundle struct {
 	// the slowest recent questions with their waterfall decompositions.
 	// Present only when tracing was on at capture time (additive section).
 	Trace *traceview.Digest `json:"trace,omitempty"`
-	// Sched is the worker-lane snapshot: per-label utilization aggregates
-	// and recent lane intervals. Present only when sched recording was on
-	// at capture time (additive section).
-	Sched *sched.Snapshot `json:"sched,omitempty"`
 	// Runtime is a fresh runtime/metrics reading (goroutines, heap
 	// live/goal, GC pause and scheduling-latency quantiles) taken at
 	// capture time (additive section).
-	Runtime *sched.RuntimeStats `json:"runtime,omitempty"`
+	Runtime *obs.RuntimeStats `json:"runtime,omitempty"`
 	// Plans is the join-plan annotation registry (internal/homo.PlanInfos):
 	// per body, the kernel mode and the compile-time join order. Present
 	// only when at least one plan was compiled (additive section).
@@ -205,8 +200,7 @@ func Capture(reason string) *Bundle {
 		Plans:        marshalSection(plnFn),
 		Attr:         attr.Capture(),
 		Trace:        captureTrace(),
-		Sched:        sched.Capture(),
-		Runtime:      sched.ReadRuntime(),
+		Runtime:      obs.ReadRuntime(),
 		HeapProfile:  profileText("heap"),
 		MutexProfile: profileText("mutex"),
 		BlockProfile: profileText("block"),
@@ -240,9 +234,6 @@ func (b *Bundle) sections() []string {
 	}
 	if b.Trace != nil {
 		s = append(s, "trace.json")
-	}
-	if b.Sched != nil {
-		s = append(s, "sched.json")
 	}
 	if b.Runtime != nil {
 		s = append(s, "runtime.json")
@@ -318,7 +309,6 @@ func (b *Bundle) WriteJSON(w io.Writer) error {
 //	kb_digest.json  predicate/rule/conflict digest of the loaded KB (if set)
 //	journal.json    the inquiry journal so far (if set)
 //	plans.json      join-plan annotations: per-body kernel mode and order
-//	sched.json      worker-lane snapshot (if sched recording was on)
 //	runtime.json    runtime/metrics reading at capture time
 //	heap.pprof      heap profile, debug=1 text form
 //	mutex.pprof     mutex contention profile (sampled only when enabled)
@@ -372,13 +362,6 @@ func (b *Bundle) WriteDir(dir string) error {
 		}
 		files["trace.json"] = append(traceData, '\n')
 	}
-	if b.Sched != nil {
-		schedData, err := json.MarshalIndent(b.Sched, "", "  ")
-		if err != nil {
-			return fmt.Errorf("debug bundle: %w", err)
-		}
-		files["sched.json"] = append(schedData, '\n')
-	}
 	if b.Runtime != nil {
 		rtData, err := json.MarshalIndent(b.Runtime, "", "  ")
 		if err != nil {
@@ -405,6 +388,8 @@ func (b *Bundle) WriteDir(dir string) error {
 
 // ReadBundle loads a bundle from a directory written by WriteDir or from a
 // single-document JSON file (the /debugz format) — kbdump accepts both.
+// Sections this binary no longer writes, such as the sched.json
+// worker-lane snapshot of older bundles, are ignored.
 func ReadBundle(path string) (*Bundle, error) {
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -481,15 +466,8 @@ func ReadBundle(path string) (*Bundle, error) {
 		}
 		b.Trace = &d
 	}
-	if data, err := os.ReadFile(filepath.Join(path, "sched.json")); err == nil {
-		var s sched.Snapshot
-		if err := json.Unmarshal(data, &s); err != nil {
-			return nil, fmt.Errorf("debug bundle %s: sched: %w", path, err)
-		}
-		b.Sched = &s
-	}
 	if data, err := os.ReadFile(filepath.Join(path, "runtime.json")); err == nil {
-		var r sched.RuntimeStats
+		var r obs.RuntimeStats
 		if err := json.Unmarshal(data, &r); err != nil {
 			return nil, fmt.Errorf("debug bundle %s: runtime: %w", path, err)
 		}

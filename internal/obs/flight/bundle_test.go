@@ -11,7 +11,6 @@ import (
 
 	"kbrepair/internal/obs"
 	"kbrepair/internal/obs/attr"
-	"kbrepair/internal/obs/sched"
 )
 
 func clearProviders(t *testing.T) {
@@ -365,27 +364,26 @@ func TestDumpOnTestFailure(t *testing.T) {
 	}
 }
 
-// TestBundleSchedAndRuntimeSections covers the parallel-efficiency
-// additions: a bundle captured with lane recording on carries the sched
-// snapshot, a runtime telemetry reading and the heap/mutex/block profiles,
-// and all of them survive both persistence forms.
+// legacySched is the worker-lane section bundles carried while the lane
+// recorder existed, as its writer emitted it.
+const legacySched = `{"enabled": true, "fanouts_total": 1, "open_fanouts": 0,
+  "aborted_fanouts": 0, "intervals_total": 1, "intervals_retained": 1,
+  "labels": [{"label": "core.pi", "fanouts": 1, "tasks": 1, "wall_us": 40,
+    "top_wall_us": 40, "busy_us": 35, "worker_us": 80, "max_workers": 2}],
+  "intervals": [{"fanout": 1, "label": "core.pi", "lane": 0, "task": 0,
+    "start_us": 10, "end_us": 45}]}`
+
+// TestBundleSchedAndRuntimeSections checks that a captured bundle carries
+// a runtime telemetry reading and the heap/mutex/block profiles, that they
+// survive the directory form, and that a bundle written while the lane
+// recorder existed — a sched.json file or "sched" key, listed in the
+// manifest's sections — still loads in both forms.
 func TestBundleSchedAndRuntimeSections(t *testing.T) {
 	resetGlobal(t)
 	clearProviders(t)
 	Enable(32)
-	sched.Enable(0)
-	t.Cleanup(sched.Disable)
-	fo := sched.Begin("test.bundle", 2, 1)
-	for i := 0; i < 2; i++ {
-		t0 := fo.Start()
-		fo.Task(0, i, t0)
-	}
-	fo.End()
 
-	b := Capture("sched-sections")
-	if b.Sched == nil || !b.Sched.Enabled || len(b.Sched.Labels) != 1 {
-		t.Fatalf("sched section = %+v, want one-label snapshot", b.Sched)
-	}
+	b := Capture("runtime-sections")
 	if b.Runtime == nil || b.Runtime.Goroutines < 1 {
 		t.Fatalf("runtime section = %+v", b.Runtime)
 	}
@@ -396,7 +394,7 @@ func TestBundleSchedAndRuntimeSections(t *testing.T) {
 	if !strings.Contains(b.HeapProfile, "heap profile") {
 		t.Errorf("heap profile not in debug text form: %.80s", b.HeapProfile)
 	}
-	for _, want := range []string{"sched.json", "runtime.json", "heap.pprof", "mutex.pprof", "block.pprof"} {
+	for _, want := range []string{"runtime.json", "heap.pprof", "mutex.pprof", "block.pprof"} {
 		found := false
 		for _, s := range b.Sections {
 			if s == want {
@@ -408,48 +406,52 @@ func TestBundleSchedAndRuntimeSections(t *testing.T) {
 		}
 	}
 
-	dir := filepath.Join(t.TempDir(), "bundle")
+	// Dress the capture up as an older bundle with a lane section.
+	b.Sections = append(b.Sections, "sched.json")
+	tmp := t.TempDir()
+	dir := filepath.Join(tmp, "bundle")
 	if err := b.WriteDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"sched.json", "runtime.json", "heap.pprof", "mutex.pprof", "block.pprof"} {
+	for _, name := range []string{"runtime.json", "heap.pprof", "mutex.pprof", "block.pprof"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("bundle dir missing %s: %v", name, err)
 		}
 	}
-	got, err := ReadBundle(dir)
+	if err := os.WriteFile(filepath.Join(dir, "sched.json"), []byte(legacySched+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if err := b.WriteJSON(&doc); err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(doc.Bytes(), &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["sched"] = json.RawMessage(legacySched)
+	single, err := json.Marshal(fields)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Sched == nil || got.Sched.FanoutsTotal != b.Sched.FanoutsTotal {
-		t.Errorf("sched section did not roundtrip: %+v", got.Sched)
+	file := filepath.Join(tmp, "bundle.json")
+	if err := os.WriteFile(file, single, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if got.Runtime == nil || got.Runtime.GOMAXPROCS != b.Runtime.GOMAXPROCS {
-		t.Errorf("runtime section did not roundtrip: %+v", got.Runtime)
-	}
-	if got.HeapProfile != b.HeapProfile || got.MutexProfile != b.MutexProfile || got.BlockProfile != b.BlockProfile {
-		t.Error("profiles did not roundtrip through the bundle dir")
-	}
-}
 
-// TestBundleOmitsSchedWhenDisabled pins the additive-section contract:
-// with lane recording off the sched section is absent, while runtime
-// telemetry and profiles (always available) are still captured.
-func TestBundleOmitsSchedWhenDisabled(t *testing.T) {
-	resetGlobal(t)
-	clearProviders(t)
-	Enable(32)
-	sched.Disable()
-	b := Capture("no-sched")
-	if b.Sched != nil {
-		t.Errorf("sched section = %+v with recording disabled, want nil", b.Sched)
-	}
-	for _, s := range b.Sections {
-		if s == "sched.json" {
-			t.Error("manifest lists sched.json with recording disabled")
+	for _, path := range []string{dir, file} {
+		got, err := ReadBundle(path)
+		if err != nil {
+			t.Fatalf("ReadBundle(%s) with a sched section: %v", path, err)
 		}
-	}
-	if b.Runtime == nil || b.HeapProfile == "" {
-		t.Error("runtime/profile sections should not depend on lane recording")
+		if last := got.Sections[len(got.Sections)-1]; last != "sched.json" {
+			t.Errorf("%s: manifest sections end in %q, want sched.json kept", path, last)
+		}
+		if got.Runtime == nil || got.Runtime.GOMAXPROCS != b.Runtime.GOMAXPROCS {
+			t.Errorf("%s: runtime section did not roundtrip: %+v", path, got.Runtime)
+		}
+		if got.HeapProfile != b.HeapProfile || got.MutexProfile != b.MutexProfile || got.BlockProfile != b.BlockProfile {
+			t.Errorf("%s: profiles did not roundtrip", path)
+		}
 	}
 }

@@ -69,7 +69,8 @@ const (
 	// KindPiBatch summarizes one Π-repairability filtering batch: fast-path
 	// hits, full Algorithm 1 checks, and fixes accepted.
 	KindPiBatch
-	// KindParDispatch: tasks fanned out and the worker-pool size.
+	// KindParDispatch: tasks fanned out and the worker-pool size; Note is
+	// the call-site label ("core.pi", "conflict.scan", …).
 	KindParDispatch
 	// KindAnomaly is a watchdog detection; Note names the anomaly and
 	// N1/N2 carry the observed value and the threshold it crossed.
@@ -101,7 +102,7 @@ var kindSpecs = [numKinds]kindSpec{
 	KindQuestion:        {"inquiry.question", [4]string{"phase", "fixes", "conflicts", "delay_us"}, ""},
 	KindAnswer:          {"inquiry.answer", [4]string{"fact", "arg", "null", ""}, "value"},
 	KindPiBatch:         {"core.pi_batch", [4]string{"fast_hits", "full_checks", "accepted", ""}, ""},
-	KindParDispatch:     {"par.dispatch", [4]string{"tasks", "workers", "", ""}, ""},
+	KindParDispatch:     {"par.dispatch", [4]string{"tasks", "workers", "", ""}, "label"},
 	KindAnomaly:         {"anomaly", [4]string{"value", "threshold", "", ""}, "anomaly"},
 	KindBundleDump:      {"flight.bundle_dump", [4]string{"", "", "", ""}, "reason"},
 	KindHomoSearch:      {"homo.search", [4]string{"body", "nodes", "probes", "matches"}, ""},

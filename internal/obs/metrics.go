@@ -195,14 +195,17 @@ func (h *Histogram) Reset() {
 
 // Snapshot captures a consistent-enough view (individual fields are atomic;
 // cross-field skew of in-flight observations is acceptable for reporting).
+// Count is the sum of the bucket counts read, so the exposition's +Inf
+// bucket always equals its _count, however long the reader is preempted
+// while writers keep observing.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
-		Count:  h.count.Load(),
 		Bounds: h.bounds,
 		Counts: make([]int64, len(h.counts)),
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
+		s.Count += s.Counts[i]
 	}
 	if s.Count > 0 {
 		s.Sum = h.sum.load()

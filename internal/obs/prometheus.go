@@ -117,8 +117,9 @@ func RegisterPromAppender(fn func(io.Writer) error) {
 	promAppenders = append(promAppenders, fn)
 }
 
-// WriteFullPrometheus renders the snapshot plus every registered appender
-// section — what the /metrics endpoint serves.
+// WriteFullPrometheus renders the snapshot, every registered appender
+// section and the Go runtime histograms — what the /metrics endpoint
+// serves.
 func WriteFullPrometheus(w io.Writer, s Snapshot) error {
 	if err := WritePrometheus(w, s); err != nil {
 		return err
@@ -131,5 +132,5 @@ func WriteFullPrometheus(w io.Writer, s Snapshot) error {
 			return err
 		}
 	}
-	return nil
+	return writeRuntimeProm(w)
 }

@@ -1,4 +1,4 @@
-package sched
+package obs
 
 import (
 	"fmt"
@@ -7,8 +7,6 @@ import (
 	"runtime/metrics"
 	"sync"
 	"time"
-
-	"kbrepair/internal/obs"
 )
 
 // Runtime metric names read per poll. Histogram-kinded samples get a
@@ -25,7 +23,7 @@ const (
 )
 
 // HistSummary condenses a runtime/metrics float histogram into the
-// quantiles a human (or /schedz poller) actually reads. Quantiles are
+// quantiles a human actually reads. Quantiles are
 // bucket upper bounds, so they overestimate by at most one bucket width.
 type HistSummary struct {
 	Count uint64  `json:"count"`
@@ -36,7 +34,7 @@ type HistSummary struct {
 }
 
 // RuntimeStats is one reading of the Go runtime's own telemetry: the
-// bundle runtime.json section and part of the /schedz payload.
+// bundle runtime.json section.
 type RuntimeStats struct {
 	Goroutines     int64       `json:"goroutines"`
 	GOMAXPROCS     int64       `json:"gomaxprocs"`
@@ -52,28 +50,28 @@ type RuntimeStats struct {
 // metrics snapshots free of machine-noise series.
 var (
 	runtimeGaugesOnce sync.Once
-	gGoroutines       *obs.Gauge
-	gHeapLive         *obs.Gauge
-	gHeapGoal         *obs.Gauge
-	gGCCycles         *obs.Gauge
-	gGCPauseP99US     *obs.Gauge
-	gSchedLatP99US    *obs.Gauge
+	gGoroutines       *Gauge
+	gHeapLive         *Gauge
+	gHeapGoal         *Gauge
+	gGCCycles         *Gauge
+	gGCPauseP99US     *Gauge
+	gSchedLatP99US    *Gauge
 )
 
 func runtimeGauges() {
 	runtimeGaugesOnce.Do(func() {
-		gGoroutines = obs.NewGauge("runtime.goroutines")
-		gHeapLive = obs.NewGauge("runtime.heap_live_bytes")
-		gHeapGoal = obs.NewGauge("runtime.heap_goal_bytes")
-		gGCCycles = obs.NewGauge("runtime.gc_cycles")
-		gGCPauseP99US = obs.NewGauge("runtime.gc_pause_p99_us")
-		gSchedLatP99US = obs.NewGauge("runtime.sched_latency_p99_us")
+		gGoroutines = NewGauge("runtime.goroutines")
+		gHeapLive = NewGauge("runtime.heap_live_bytes")
+		gHeapGoal = NewGauge("runtime.heap_goal_bytes")
+		gGCCycles = NewGauge("runtime.gc_cycles")
+		gGCPauseP99US = NewGauge("runtime.gc_pause_p99_us")
+		gSchedLatP99US = NewGauge("runtime.sched_latency_p99_us")
 	})
 }
 
 func readSamples() []metrics.Sample {
 	// A fresh slice per read: ReadRuntime is called concurrently by the
-	// poller, /schedz and bundle capture, and metrics.Read writes in place.
+	// poller and bundle capture, and metrics.Read writes in place.
 	return []metrics.Sample{
 		{Name: mGoroutines},
 		{Name: mHeapLive},
@@ -143,7 +141,7 @@ func summarizeHist(s metrics.Sample) HistSummary {
 // ReadRuntime polls runtime/metrics once, refreshes the runtime.* gauges
 // on the default registry (registering them on first use) and returns
 // the reading. Cheap enough (a handful of atomic reads inside the
-// runtime) to call from /schedz, bundle capture and a 250ms poller.
+// runtime) to call from bundle capture and a 250ms poller.
 func ReadRuntime() *RuntimeStats {
 	runtimeGauges()
 	samples := readSamples()
@@ -184,10 +182,10 @@ type RuntimePoller struct {
 }
 
 // StartRuntimePoller begins polling every interval (<= 0 uses
-// obs.DefaultSampleEvery). Stop it with Stop.
+// DefaultSampleEvery). Stop it with Stop.
 func StartRuntimePoller(every time.Duration) *RuntimePoller {
 	if every <= 0 {
-		every = obs.DefaultSampleEvery
+		every = DefaultSampleEvery
 	}
 	p := &RuntimePoller{stop: make(chan struct{}), done: make(chan struct{})}
 	ReadRuntime()
@@ -228,9 +226,9 @@ func writeRuntimeProm(w io.Writer) error {
 		var pn string
 		switch s.Name {
 		case mGCPauses:
-			pn = obs.PromName("runtime.gc_pauses_seconds")
+			pn = PromName("runtime.gc_pauses_seconds")
 		case mSchedLat:
-			pn = obs.PromName("runtime.sched_latencies_seconds")
+			pn = PromName("runtime.sched_latencies_seconds")
 		default:
 			continue
 		}

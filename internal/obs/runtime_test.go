@@ -1,12 +1,10 @@
-package sched
+package obs
 
 import (
 	"runtime"
 	"strings"
 	"testing"
 	"time"
-
-	"kbrepair/internal/obs"
 )
 
 func TestReadRuntimePopulatesStats(t *testing.T) {
@@ -37,7 +35,7 @@ func TestReadRuntimePopulatesStats(t *testing.T) {
 
 func TestReadRuntimeRefreshesGauges(t *testing.T) {
 	st := ReadRuntime()
-	snap := obs.Default().Snapshot()
+	snap := Default().Snapshot()
 	g, ok := snap.Gauges["runtime.goroutines"]
 	if !ok {
 		t.Fatal("runtime.goroutines gauge not registered after ReadRuntime")

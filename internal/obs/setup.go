@@ -135,8 +135,8 @@ func (c CLIConfig) Enabled() bool {
 // function to be called once on exit. Output files are created eagerly so
 // an unwritable path fails before any work is done, with a clear error and
 // a non-zero exit in the CLIs. The flush writes the metrics snapshot,
-// stops the sampler, tears down the trace sink, and reports any write
-// error encountered.
+// stops the runtime poller and the sampler, tears down the trace sink, and
+// reports any write error encountered.
 func SetupCLI(c CLIConfig) (flush func() error, err error) {
 	var (
 		metricsFile *os.File
@@ -144,6 +144,7 @@ func SetupCLI(c CLIConfig) (flush func() error, err error) {
 		traceSink   *JSONLSink
 		seriesFile  *os.File
 		sampler     *Sampler
+		poller      *RuntimePoller
 	)
 	fail := func(err error) (func() error, error) {
 		if metricsFile != nil {
@@ -201,6 +202,11 @@ func SetupCLI(c CLIConfig) (flush func() error, err error) {
 	if c.MetricsPath != "" || c.TracePath != "" || c.TimeseriesPath != "" {
 		SetEnabled(true)
 	}
+	// Any live output gets fresh runtime.* gauges: the poller feeds the
+	// time series, /metrics and debug bundles.
+	if c.Enabled() {
+		poller = StartRuntimePoller(c.SampleEvery)
+	}
 
 	return func() error {
 		var first error
@@ -209,6 +215,7 @@ func SetupCLI(c CLIConfig) (flush func() error, err error) {
 				first = err
 			}
 		}
+		poller.Stop()
 		if sampler != nil {
 			SetSampler(nil)
 			keep(sampler.Stop())

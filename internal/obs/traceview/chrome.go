@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"kbrepair/internal/obs/sched"
 )
 
 // chromeEvent is one entry of the Chrome trace_event format ("JSON Array
@@ -28,43 +26,18 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// laneTIDBase offsets worker-lane rows from the span row (tid 1): lane 0
-// renders as tid 100, lane 1 as tid 101, and so on, so the viewer shows
-// one timeline row per worker slot under the span timeline.
-const laneTIDBase = 100
-
 // WriteChrome exports the forest as Chrome trace_event JSON. All spans go
 // on one pid/tid: the pipeline emits from a single goroutine per run, so
 // the viewer reconstructs nesting from time containment, which matches the
 // causal tree exactly. Output is deterministic: spans in depth-first
 // pre-order over the (start-time-sorted) forest, then events in stream
-// order.
-func WriteChrome(w io.Writer, f *Forest) error { return WriteChromeWithLanes(w, f, nil) }
-
-// WriteChromeWithLanes is WriteChrome plus worker-lane rows: each sched
-// lane interval becomes a complete-span event on tid laneTIDBase+lane, so
-// the per-worker busy/idle timeline renders directly under the causal
-// span tree (lane timestamps come from the same tracer clock as spans).
-// Lane rows are named by their fan-out label with the fan-out id and task
-// index as args, and each lane tid gets a thread_name metadata record.
-func WriteChromeWithLanes(w io.Writer, f *Forest, lanes []sched.Interval) error {
+// order. Spans and events recorded without a name are exported as
+// "(unnamed)", since the viewers require a name on every entry.
+func WriteChrome(w io.Writer, f *Forest) error {
 	out := chromeTrace{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
-	seenLanes := map[int]bool{}
-	for _, iv := range lanes {
-		if !seenLanes[iv.Lane] {
-			seenLanes[iv.Lane] = true
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name:  "thread_name",
-				Phase: "M",
-				PID:   1,
-				TID:   laneTIDBase + iv.Lane,
-				Args:  map[string]any{"name": fmt.Sprintf("worker lane %d", iv.Lane)},
-			})
-		}
-	}
 	f.Walk(func(s *Span) {
 		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name:  s.Name,
+			Name:  chromeName(s.Name),
 			Phase: "X",
 			TS:    s.StartUS,
 			Dur:   s.DurUS,
@@ -75,7 +48,7 @@ func WriteChromeWithLanes(w io.Writer, f *Forest, lanes []sched.Interval) error 
 	})
 	for _, e := range f.Events {
 		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name:  e.Name,
+			Name:  chromeName(e.Name),
 			Phase: "i",
 			TS:    e.StartUS,
 			PID:   1,
@@ -84,20 +57,16 @@ func WriteChromeWithLanes(w io.Writer, f *Forest, lanes []sched.Interval) error 
 			Args:  e.Attrs,
 		})
 	}
-	for _, iv := range lanes {
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name:  iv.Label,
-			Phase: "X",
-			TS:    iv.StartUS,
-			Dur:   iv.EndUS - iv.StartUS,
-			PID:   1,
-			TID:   laneTIDBase + iv.Lane,
-			Args:  map[string]any{"fanout": iv.Fanout, "task": iv.Task},
-		})
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(out)
+}
+
+func chromeName(name string) string {
+	if name == "" {
+		return "(unnamed)"
+	}
+	return name
 }
 
 // ValidateChrome checks that b parses as trace_event JSON with the fields

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"kbrepair/internal/obs"
-	"kbrepair/internal/obs/sched"
 )
 
 // fixture is a hand-built two-question trace in JSONL form (completion
@@ -154,6 +153,27 @@ func TestParseMalformedLine(t *testing.T) {
 	}
 }
 
+// TestWriteChromeNamesUnnamedRecords is the regression test for a
+// FuzzTraceParse finding: a span or event without a name parsed fine but
+// exported as a Chrome entry that ValidateChrome (and kbtrace's -chrome
+// self-check) rejected.
+func TestWriteChromeNamesUnnamedRecords(t *testing.T) {
+	f, err := Parse(strings.NewReader("{\"type\":\"span\",\"span\":1}\n{\"type\":\"event\"}\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteChrome(&buf, f); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := ValidateChrome(buf.Bytes()); err != nil || n != 2 {
+		t.Fatalf("ValidateChrome = %d, %v; want 2 entries accepted", n, err)
+	}
+	if got := strings.Count(buf.String(), `"name": "(unnamed)"`); got != 2 {
+		t.Errorf("%d entries named (unnamed), want 2:\n%s", got, buf.String())
+	}
+}
+
 func TestRingRoundTrip(t *testing.T) {
 	// Records straight from a RingSink carry int64 attrs (no JSON round
 	// trip); the waterfall reader must decode them identically.
@@ -212,45 +232,6 @@ func TestTracezHandler(t *testing.T) {
 	TracezHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/tracez?n=-1", nil))
 	if rec.Code != 400 {
 		t.Errorf("bad n: code = %d, want 400", rec.Code)
-	}
-}
-
-func TestWriteChromeWithLanes(t *testing.T) {
-	f := parseFixture(t)
-	lanes := []sched.Interval{
-		{Fanout: 1, Label: "conflict.scan", Lane: 0, Task: 0, StartUS: 1000, EndUS: 1100},
-		{Fanout: 1, Label: "conflict.scan", Lane: 1, Task: 1, StartUS: 1005, EndUS: 1150},
-		{Fanout: 2, Label: "chase.spec", Lane: 0, Task: 0, StartUS: 1600, EndUS: 1700},
-	}
-	var buf bytes.Buffer
-	if err := WriteChromeWithLanes(&buf, f, lanes); err != nil {
-		t.Fatal(err)
-	}
-	n, err := ValidateChrome(buf.Bytes())
-	if err != nil {
-		t.Fatalf("lane-extended chrome output fails validation: %v", err)
-	}
-	// 10 spans + 1 event + 3 lane intervals + 2 thread_name metadata records.
-	if n != 16 {
-		t.Fatalf("ValidateChrome counted %d events, want 16", n)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		`"tid": 100`, `"tid": 101`, // lane rows offset by laneTIDBase
-		`"worker lane 0"`, `"worker lane 1"`, // thread_name metadata
-		`"fanout": 2`, `"ph": "M"`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("chrome output missing %s", want)
-		}
-	}
-	// Without lanes, WriteChrome output is unchanged by the extension.
-	var plain bytes.Buffer
-	if err := WriteChrome(&plain, f); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(plain.String(), `"ph": "M"`) {
-		t.Error("plain WriteChrome emits lane metadata")
 	}
 }
 

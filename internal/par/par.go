@@ -1,6 +1,6 @@
 // Package par provides the worker-pool parallel execution layer of
-// kbrepair. Four pipeline stages fan out through Do/Map here, each under
-// its sched label:
+// kbrepair. Four pipeline stages fan out through MapNamed here, each under
+// its call-site label:
 //
 //   - core.pi — the Π-check of a candidate-fix batch, one chunk of fixes
 //     per worker (core.PiChecker.CheckBatch);
@@ -20,11 +20,12 @@
 //     concurrent-read contract; see internal/store). All mutation happens
 //     after the fan-in, on the caller's goroutine.
 //   - Results are merged in task-index order, never in completion order, so
-//     every output is byte-identical regardless of the worker count. Map
-//     makes this the default by writing each task's result to its own slot.
+//     every output is byte-identical regardless of the worker count.
+//     MapNamed makes this the default by writing each task's result to its
+//     own slot.
 //
 // The pool size is a process-wide setting (SetWorkers / the -workers CLI
-// flag, default runtime.GOMAXPROCS(0)). Workers are spawned per Do call
+// flag, default runtime.GOMAXPROCS(0)). Workers are spawned per call
 // rather than kept hot: the fan-outs here are coarse (whole homomorphism
 // searches, Π-check chunks), so goroutine start-up cost is noise, and an
 // idle process holds no threads.
@@ -39,7 +40,6 @@ import (
 
 	"kbrepair/internal/obs"
 	"kbrepair/internal/obs/flight"
-	"kbrepair/internal/obs/sched"
 )
 
 // Pool instrumentation: tasks executed and the configured pool size.
@@ -90,26 +90,25 @@ func AddFlags(fs *flag.FlagSet) *int {
 // Configure applies a parsed AddFlags value.
 func Configure(n *int) { SetWorkers(*n) }
 
-// Do runs fn(0) … fn(n-1) on up to Workers() goroutines and returns when
-// all calls have finished. Tasks are handed out in index order but may
-// complete in any order; callers must not depend on cross-task timing.
-// With a pool size of one (or a single task) everything runs inline on the
-// calling goroutine, which keeps -workers 1 a true sequential baseline.
+// MapNamed runs fn(0) … fn(n-1) on up to Workers() goroutines and returns
+// the results in task order — the deterministic fan-out/fan-in shape every
+// parallel stage of the pipeline uses. Tasks are handed out in index order
+// but may complete in any order; callers must not depend on cross-task
+// timing. With a pool size of one (or a single task) everything runs
+// inline on the calling goroutine, which keeps -workers 1 a true
+// sequential baseline.
 //
-// If any task panics, Do panics on the calling goroutine with the first
-// panic value after all workers have stopped.
-func Do(n int, fn func(i int)) { DoNamed("par.do", n, fn) }
-
-// DoNamed is Do with a fan-out label: the phase name the sched lane
-// recorder aggregates under ("core.pi", "conflict.scan", …), which
-// becomes the per-phase row of kbbench's efficiency report. The label
-// changes no execution behavior — lane recording is observability-only,
-// nil-cost when disabled, and its records never enter the trace stream,
-// so output stays byte-identical at every worker count.
-func DoNamed(label string, n int, fn func(i int)) {
+// label names the call site ("core.pi", "conflict.scan", …); it becomes
+// the note of the par.dispatch flight event, so a debug bundle shows which
+// fan-out dispatched. It changes no execution behavior.
+//
+// If any task panics, MapNamed panics on the calling goroutine with the
+// first panic value after all workers have stopped.
+func MapNamed[T any](label string, n int, fn func(i int) T) []T {
 	if n <= 0 {
-		return
+		return nil
 	}
+	out := make([]T, n)
 	mTasks.Add(int64(n))
 	w := Workers()
 	// Keep the pool gauge fresh: with -workers unset the effective size
@@ -118,19 +117,15 @@ func DoNamed(label string, n int, fn func(i int)) {
 	if w > n {
 		w = n
 	}
-	fo := sched.Begin(label, n, w)
-	defer fo.End() // balances Begin on every exit path, panics included
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			t0 := fo.Start()
-			fn(i)
-			fo.Task(0, i, t0)
+			out[i] = fn(i)
 		}
-		return
+		return out
 	}
 	// Only true fan-outs are flight-recorded; inline runs would flood the
 	// ring with events that carry no scheduling information.
-	flight.Record(flight.KindParDispatch, int64(n), int64(w), 0, 0)
+	flight.RecordNote(flight.KindParDispatch, int64(n), int64(w), 0, label)
 	var (
 		next     atomic.Int64
 		wg       sync.WaitGroup
@@ -146,7 +141,6 @@ func DoNamed(label string, n int, fn func(i int)) {
 				if i >= n {
 					return
 				}
-				t0 := fo.Start()
 				func() {
 					defer func() {
 						if r := recover(); r != nil {
@@ -155,11 +149,8 @@ func DoNamed(label string, n int, fn func(i int)) {
 							}
 						}
 					}()
-					fn(i)
+					out[i] = fn(i)
 				}()
-				// The lane interval closes even for a panicked task — the
-				// recover above already fired — keeping busy records balanced.
-				fo.Task(g, i, t0)
 			}
 		}()
 	}
@@ -167,16 +158,5 @@ func DoNamed(label string, n int, fn func(i int)) {
 	if panicked.Load() {
 		panic(panicVal)
 	}
-}
-
-// Map runs fn over 0 … n-1 in parallel and returns the results in task
-// order — the deterministic fan-out/fan-in shape every parallel stage of
-// the pipeline uses.
-func Map[T any](n int, fn func(i int) T) []T { return MapNamed("par.do", n, fn) }
-
-// MapNamed is Map with a sched fan-out label; see DoNamed.
-func MapNamed[T any](label string, n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	DoNamed(label, n, func(i int) { out[i] = fn(i) })
 	return out
 }

@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"kbrepair/internal/obs/sched"
+	"kbrepair/internal/obs/flight"
 )
 
 // withWorkers pins the pool size for the duration of a test.
@@ -46,7 +46,7 @@ func TestDoRunsEveryTaskExactlyOnce(t *testing.T) {
 		withWorkers(t, w)
 		const n = 100
 		var counts [n]atomic.Int32
-		Do(n, func(i int) { counts[i].Add(1) })
+		MapNamed("test.once", n, func(i int) struct{} { counts[i].Add(1); return struct{}{} })
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
 				t.Fatalf("workers=%d: task %d ran %d times", w, i, c)
@@ -57,19 +57,24 @@ func TestDoRunsEveryTaskExactlyOnce(t *testing.T) {
 
 func TestDoZeroAndNegative(t *testing.T) {
 	ran := false
-	Do(0, func(int) { ran = true })
-	Do(-3, func(int) { ran = true })
+	fn := func(int) bool { ran = true; return true }
+	if out := MapNamed("test.empty", 0, fn); len(out) != 0 {
+		t.Errorf("MapNamed(0) = %v, want no results", out)
+	}
+	if out := MapNamed("test.empty", -3, fn); len(out) != 0 {
+		t.Errorf("MapNamed(-3) = %v, want no results", out)
+	}
 	if ran {
-		t.Error("Do ran tasks for n <= 0")
+		t.Error("MapNamed ran tasks for n <= 0")
 	}
 }
 
 func TestMapIsDeterministicAcrossWorkerCounts(t *testing.T) {
 	sq := func(i int) int { return i * i }
 	withWorkers(t, 1)
-	seq := Map(64, sq)
+	seq := MapNamed("test.sq", 64, sq)
 	withWorkers(t, 8)
-	parl := Map(64, sq)
+	parl := MapNamed("test.sq", 64, sq)
 	if len(seq) != len(parl) {
 		t.Fatalf("length mismatch: %d vs %d", len(seq), len(parl))
 	}
@@ -91,17 +96,18 @@ func TestDoPropagatesPanic(t *testing.T) {
 			t.Fatalf("unexpected panic value %v", r)
 		}
 	}()
-	Do(16, func(i int) {
+	MapNamed("test.panic", 16, func(i int) int {
 		if i == 7 {
 			panic("boom 7")
 		}
+		return i
 	})
 }
 
 func TestDoCountsTasks(t *testing.T) {
 	withWorkers(t, 2)
 	before := mTasks.Value()
-	Do(10, func(int) {})
+	MapNamed("test.count", 10, func(int) int { return 0 })
 	if got := mTasks.Value() - before; got != 10 {
 		t.Errorf("par.tasks advanced by %d, want 10", got)
 	}
@@ -120,7 +126,7 @@ func TestAddFlags(t *testing.T) {
 	}
 }
 
-// TestDoConcurrentFanOuts exercises overlapping Do calls from multiple
+// TestDoConcurrentFanOuts exercises overlapping MapNamed calls from multiple
 // goroutines (the shape a future parallel phase-2 would produce) under the
 // race detector.
 func TestDoConcurrentFanOuts(t *testing.T) {
@@ -130,7 +136,7 @@ func TestDoConcurrentFanOuts(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			var sum atomic.Int64
-			Do(50, func(i int) { sum.Add(int64(i)) })
+			MapNamed("test.sum", 50, func(i int) int { sum.Add(int64(i)); return i })
 			if sum.Load() != 50*49/2 {
 				t.Error("wrong sum")
 			}
@@ -141,105 +147,9 @@ func TestDoConcurrentFanOuts(t *testing.T) {
 	}
 }
 
-// withSched installs a fresh lane recorder for one test.
-func withSched(t *testing.T) {
-	t.Helper()
-	sched.Enable(0)
-	t.Cleanup(sched.Disable)
-}
-
-// TestDoLaneBalanceAcrossWorkerCounts checks the tentpole balance
-// invariant: at every worker count, each task produces exactly one lane
-// interval, every fan-out is closed, and lanes stay inside [0, workers).
-func TestDoLaneBalanceAcrossWorkerCounts(t *testing.T) {
-	for _, w := range []int{1, 2, 8} {
-		withWorkers(t, w)
-		withSched(t)
-		const n = 40
-		DoNamed("test.balance", n, func(i int) {})
-		s := sched.Capture()
-		if s == nil {
-			t.Fatal("sched.Capture() = nil with recording enabled")
-		}
-		if s.OpenFanouts != 0 || s.AbortedFanouts != 0 {
-			t.Fatalf("workers=%d: open %d aborted %d, want 0/0", w, s.OpenFanouts, s.AbortedFanouts)
-		}
-		if s.IntervalsRetained != n {
-			t.Fatalf("workers=%d: %d intervals retained, want %d", w, s.IntervalsRetained, n)
-		}
-		seen := make(map[int]int, n)
-		effW := w
-		if effW > n {
-			effW = n
-		}
-		for _, iv := range s.Intervals {
-			if iv.Label != "test.balance" {
-				t.Fatalf("workers=%d: interval label %q", w, iv.Label)
-			}
-			if iv.Lane < 0 || iv.Lane >= effW {
-				t.Fatalf("workers=%d: lane %d outside [0,%d)", w, iv.Lane, effW)
-			}
-			if iv.EndUS < iv.StartUS {
-				t.Fatalf("workers=%d: interval ends before it starts: %+v", w, iv)
-			}
-			seen[iv.Task]++
-		}
-		for i := 0; i < n; i++ {
-			if seen[i] != 1 {
-				t.Fatalf("workers=%d: task %d recorded %d times, want 1", w, i, seen[i])
-			}
-		}
-		if len(s.Labels) != 1 || s.Labels[0].Tasks != n || s.Labels[0].Fanouts != 1 {
-			t.Fatalf("workers=%d: label agg = %+v", w, s.Labels)
-		}
-	}
-}
-
-// TestDoLaneBalanceUnderPanic checks that panic propagation never leaves a
-// fan-out open. On the threaded path the per-task recover runs before the
-// lane interval closes, so the books balance exactly; on the inline path
-// the unwind skips the remaining tasks and the deferred End records the
-// fan-out as aborted instead.
-func TestDoLaneBalanceUnderPanic(t *testing.T) {
-	run := func(w int) *sched.Snapshot {
-		withWorkers(t, w)
-		withSched(t)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("workers=%d: panic not propagated", w)
-				}
-			}()
-			DoNamed("test.panic", 16, func(i int) {
-				if i == 7 {
-					panic("boom")
-				}
-			})
-		}()
-		return sched.Capture()
-	}
-
-	s := run(8)
-	if s.OpenFanouts != 0 {
-		t.Fatalf("threaded: %d fan-outs left open after panic", s.OpenFanouts)
-	}
-	if s.AbortedFanouts != 0 || s.Labels[0].Tasks != 16 {
-		t.Fatalf("threaded: aborted %d tasks %d, want 0/16 (recover closes every interval)",
-			s.AbortedFanouts, s.Labels[0].Tasks)
-	}
-
-	s = run(1)
-	if s.OpenFanouts != 0 {
-		t.Fatalf("inline: %d fan-outs left open after panic", s.OpenFanouts)
-	}
-	if s.AbortedFanouts != 1 {
-		t.Fatalf("inline: aborted = %d, want 1 (unwind skips remaining tasks)", s.AbortedFanouts)
-	}
-}
-
 // TestDoRefreshesWorkersGauge pins the satellite fix: with -workers unset
 // the par.workers gauge must track GOMAXPROCS changes made after package
-// init, refreshed on each Do.
+// init, refreshed on each fan-out.
 func TestDoRefreshesWorkersGauge(t *testing.T) {
 	withWorkers(t, 0)
 	old := runtime.GOMAXPROCS(0)
@@ -248,38 +158,34 @@ func TestDoRefreshesWorkersGauge(t *testing.T) {
 		runtime.GOMAXPROCS(old)
 		gWorkers.Set(int64(Workers()))
 	}()
-	Do(4, func(int) {})
+	MapNamed("test.gauge", 4, func(int) int { return 0 })
 	if got := gWorkers.Value(); got != 3 {
-		t.Errorf("par.workers gauge = %d after GOMAXPROCS(3)+Do, want 3", got)
+		t.Errorf("par.workers gauge = %d after GOMAXPROCS(3)+MapNamed, want 3", got)
 	}
 }
 
-// TestDoNamedDisabledSchedAllocs guards the inline fast path end to end:
-// with recording off and one worker, a whole DoNamed fan-out allocates
-// nothing.
-func TestDoNamedDisabledSchedAllocs(t *testing.T) {
-	sched.Disable()
-	withWorkers(t, 1)
-	fn := func(int) {}
-	allocs := testing.AllocsPerRun(100, func() {
-		DoNamed("test.alloc", 4, fn)
-	})
-	if allocs != 0 {
-		t.Errorf("inline DoNamed with sched disabled allocates %.1f per call, want 0", allocs)
-	}
-}
-
+// TestMapNamedMatchesMap checks that a true fan-out returns its results
+// in task order and names its call site in the par.dispatch flight event.
 func TestMapNamedMatchesMap(t *testing.T) {
 	withWorkers(t, 4)
-	withSched(t)
+	flight.Enable(64)
+	t.Cleanup(flight.Disable)
 	got := MapNamed("test.map", 16, func(i int) int { return i * 3 })
 	for i, v := range got {
 		if v != i*3 {
 			t.Fatalf("slot %d = %d", i, v)
 		}
 	}
-	s := sched.Capture()
-	if len(s.Labels) != 1 || s.Labels[0].Label != "test.map" {
-		t.Fatalf("labels = %+v, want test.map", s.Labels)
+	var dispatches []flight.Event
+	for _, e := range flight.Current().Events() {
+		if e.Kind == flight.KindParDispatch {
+			dispatches = append(dispatches, e)
+		}
+	}
+	if len(dispatches) != 1 {
+		t.Fatalf("%d par.dispatch events, want 1", len(dispatches))
+	}
+	if e := dispatches[0]; e.N1 != 16 || e.N2 != 4 || e.Note != "test.map" {
+		t.Fatalf("par.dispatch = %+v, want tasks 16, workers 4, note test.map", e)
 	}
 }
