@@ -52,9 +52,10 @@ bench-check-report: BENCH.json
 bench-go:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-smoke compiles and runs each homo/flight/attr benchmark exactly
-# once — a fast CI check that the benchmark suite (the allocation guards
-# included) still builds and executes, without timing anything.
+# bench-smoke compiles and runs each homo/flight/per-rule attribution
+# (BenchmarkAttr*, in internal/obs) benchmark exactly once — a fast CI
+# check that the benchmark suite (the allocation guards included) still
+# builds and executes, without timing anything.
 bench-smoke:
 	$(GO) test -bench 'Homo|Flight|Attr' -benchtime=1x ./internal/...
 
@@ -81,10 +82,9 @@ bench-workers-smoke:
 	rm -f results/bench_workers_smoke1.json results/bench_workers_smoke4.json
 
 # bench-plans-smoke is the plan-quality gate: -plans-check makes kbbench
-# fail when any profiled body ran without a compiled-plan annotation or
-# silently fell back to the legacy adaptive kernel (adaptive is only legal
-# when a caller forces it, e.g. the comparison benchmarks). The grep then
-# asserts the mode annotations actually reached the report.
+# fail when any profiled body ran without a compiled-plan annotation (the
+# legacy adaptive kernel is gone; only static and wcoj plans exist). The
+# grep then asserts the mode annotations actually reached the report.
 bench-plans-smoke:
 	rm -rf smoke-plans && mkdir -p smoke-plans
 	$(GO) run ./cmd/kbbench -exp fig3 -scale 0.1 -reps 1 -seed 1 \

@@ -23,7 +23,6 @@ import (
 	"kbrepair/internal/durum"
 	"kbrepair/internal/exp"
 	"kbrepair/internal/obs"
-	"kbrepair/internal/obs/attr"
 	"kbrepair/internal/obs/flight"
 	"kbrepair/internal/par"
 )
@@ -39,7 +38,7 @@ func main() {
 		baseline  = flag.String("baseline", "", "compare this run against a prior -json report; exit non-zero on regression")
 		threshold = flag.Float64("threshold", 1.25, "regression threshold for -baseline: fail when new mean > old mean x this")
 		regressOK = flag.Bool("regress-ok", false, "with -baseline: report regressions but exit zero (CI report-only mode)")
-		plnCheck  = flag.Bool("plans-check", false, "with -json/-baseline: fail unless every profiled body carries a compiled-plan annotation and none silently fell back to the adaptive kernel (the bench-plans-smoke gate)")
+		plnCheck  = flag.Bool("plans-check", false, "with -json/-baseline: fail unless every profiled body carries a compiled-plan annotation (the bench-plans-smoke gate)")
 	)
 	obsCfg := obs.AddFlags(flag.CommandLine)
 	flightCfg := flight.AddFlags(flag.CommandLine)
@@ -68,7 +67,7 @@ func main() {
 	}
 	// The report's profile section and the observability outputs both want
 	// per-rule attribution; plain table runs skip its memory cost.
-	attr.SetEnabled(benching || obsCfg.Enabled())
+	obs.SetAttrEnabled(benching || obsCfg.Enabled())
 
 	out := bufio.NewWriter(os.Stdout)
 	runErr := run(out, *which, *scale, *reps, *seed)
@@ -79,7 +78,7 @@ func main() {
 		label := fmt.Sprintf("exp=%s scale=%g reps=%d seed=%d workers=%d", *which, *scale, *reps, *seed, par.Workers())
 		snap := obs.Default().Snapshot()
 		rep := exp.NewBenchReport(label, snap)
-		rep.Profile = exp.BuildProfile(attr.Capture(), snap)
+		rep.Profile = exp.BuildProfile(obs.CaptureRules(), snap)
 		exp.WriteProfile(out, rep.Profile)
 		rep.Trace = exp.BuildTraceSummary(benchRing.Records(), benchRing.Total())
 		if *plnCheck {

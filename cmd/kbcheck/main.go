@@ -21,7 +21,6 @@ import (
 	"kbrepair/internal/core"
 	"kbrepair/internal/exp"
 	"kbrepair/internal/obs"
-	"kbrepair/internal/obs/attr"
 	"kbrepair/internal/obs/flight"
 	"kbrepair/internal/par"
 )
@@ -52,7 +51,7 @@ func main() {
 		os.Exit(1)
 	}
 	finish := flight.Setup("kbcheck", *flightCfg)
-	attr.SetEnabled(obsCfg.Enabled())
+	obs.SetAttrEnabled(obsCfg.Enabled())
 	out := bufio.NewWriter(os.Stdout)
 	runErr := run(out, *kbPath, *listConflicts, *explain, *flightCfg)
 	if err := out.Flush(); err != nil && runErr == nil {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"kbrepair/internal/obs"
-	"kbrepair/internal/obs/attr"
 	"kbrepair/internal/obs/flight"
 )
 
@@ -88,15 +87,15 @@ func TestRunFollowUnreachable(t *testing.T) {
 func TestProfileReport(t *testing.T) {
 	t.Cleanup(flight.Disable)
 	flight.Enable(16)
-	prev := attr.Enabled()
-	attr.SetEnabled(true)
+	prev := obs.AttrEnabled()
+	obs.SetAttrEnabled(true)
 	t.Cleanup(func() {
-		attr.SetEnabled(prev)
-		attr.Reset()
+		obs.SetAttrEnabled(prev)
+		obs.ResetRules()
 	})
-	id := attr.Intern("emp(X, D), dept(D)")
-	attr.NewCounterVec(attr.FamSearches).Add(id, 4)
-	attr.NewCounterVec(attr.FamNodes).Add(id, 123)
+	id := obs.Intern("emp(X, D), dept(D)")
+	obs.NewRuleCounter(obs.FamSearches).AddFor(id, 4)
+	obs.NewRuleCounter(obs.FamNodes).AddFor(id, 123)
 
 	dir := filepath.Join(t.TempDir(), "bundle")
 	if err := flight.Capture("profile-test").WriteDir(dir); err != nil {

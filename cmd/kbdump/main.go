@@ -28,7 +28,7 @@ import (
 	"kbrepair/internal/exp"
 	"kbrepair/internal/homo"
 	"kbrepair/internal/inquiry"
-	"kbrepair/internal/obs/attr"
+	"kbrepair/internal/obs"
 	"kbrepair/internal/obs/flight"
 )
 
@@ -331,7 +331,7 @@ func writeProfile(w io.Writer, b *flight.Bundle, top int) {
 		fmt.Fprintln(w)
 		return
 	}
-	all := attr.Rows(b.Attr)
+	all := obs.Rows(b.Attr)
 	rows := all
 	if top > 0 && len(rows) > top {
 		rows = rows[:top]

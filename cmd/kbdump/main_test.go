@@ -107,3 +107,59 @@ func TestLiveBundleSchedSections(t *testing.T) {
 		}
 	}
 }
+
+// malformedHist is a histogram snapshot with two bucket counts for zero
+// bounds: the quantile code indexed past the bounds on it and panicked.
+const malformedHist = `{"count":3,"sum":3,"min":1,"max":1,"bounds":[],"counts":[0,3]}`
+
+// fixtureWith copies the fixture bundle to a temp directory and writes
+// name there with the given content.
+func fixtureWith(t *testing.T, name, content string) string {
+	t.Helper()
+	src := filepath.Join("testdata", "fixture-bundle")
+	dir := filepath.Join(t.TempDir(), "bundle")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestMalformedMetricsHistogram: kbdump -metrics on a bundle whose
+// metrics.json carries a malformed histogram fails with an error.
+func TestMalformedMetricsHistogram(t *testing.T) {
+	dir := fixtureWith(t, "metrics.json",
+		`{"counters": {}, "gauges": {}, "histograms": {"x.seconds": `+malformedHist+`}}`)
+	var buf bytes.Buffer
+	err := run(&buf, dir, true, 0, true, false, false, 0)
+	if err == nil || !strings.Contains(err.Error(), "x.seconds") {
+		t.Fatalf("run = %v, want an error naming the histogram", err)
+	}
+}
+
+// TestMalformedProfileHistogram: kbdump -profile on a bundle whose
+// attr.json carries a malformed per-rule histogram fails with an error.
+func TestMalformedProfileHistogram(t *testing.T) {
+	dir := fixtureWith(t, "attr.json",
+		`{"keys": ["p(X)"], "counters": {"homo.searches": [1]}, "histograms": {"homo.nodes_per_search": [`+malformedHist+`]}}`)
+	var buf bytes.Buffer
+	err := run(&buf, dir, false, 0, false, false, true, 0)
+	if err == nil || !strings.Contains(err.Error(), "homo.nodes_per_search") {
+		t.Fatalf("run = %v, want an error naming the histogram", err)
+	}
+}

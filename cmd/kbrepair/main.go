@@ -25,7 +25,6 @@ import (
 	"kbrepair/internal/core"
 	"kbrepair/internal/inquiry"
 	"kbrepair/internal/obs"
-	"kbrepair/internal/obs/attr"
 	"kbrepair/internal/obs/flight"
 	"kbrepair/internal/par"
 )
@@ -65,7 +64,7 @@ func main() {
 	finish := flight.Setup("kbrepair", *flightCfg)
 	// Per-rule attribution rides along with the observability outputs: any
 	// -metrics/-trace/-pprof/-timeseries run gets a /profilez-able profile.
-	attr.SetEnabled(obsCfg.Enabled())
+	obs.SetAttrEnabled(obsCfg.Enabled())
 	runErr := run(*kbPath, *stratName, *auto, *oracleKB, *seed, *outPath, *basic, *maxValues, *journal, *replay, *flightCfg)
 	if err := finish(); err != nil && runErr == nil {
 		runErr = err

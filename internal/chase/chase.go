@@ -14,20 +14,21 @@ import (
 	"kbrepair/internal/homo"
 	"kbrepair/internal/logic"
 	"kbrepair/internal/obs"
-	"kbrepair/internal/obs/attr"
 	"kbrepair/internal/obs/flight"
 	"kbrepair/internal/store"
 )
 
 // Pipeline instrumentation (see README "Observability" for the inventory).
 // Counters are always-on atomic adds; the run-latency histogram only costs
-// a clock read when obs timing is enabled.
+// a clock read when obs timing is enabled. Trigger checks, firings and
+// derived facts break down by TGD: IDs are content-addressed by the rule's
+// canonical string and cached by rule pointer.
 var (
 	mRuns     = obs.NewCounter("chase.runs")
 	mRounds   = obs.NewCounter("chase.rounds")
-	mTriggers = obs.NewCounter("chase.trigger_checks")
-	mFirings  = obs.NewCounter("chase.rule_firings")
-	mDerived  = obs.NewCounter("chase.facts_derived")
+	mTriggers = obs.NewRuleCounter("chase.trigger_checks")
+	mFirings  = obs.NewRuleCounter("chase.rule_firings")
+	mDerived  = obs.NewRuleCounter("chase.facts_derived")
 	mNulls    = obs.NewCounter("chase.nulls_invented")
 	// mDeferred counts triggers that crossed a round boundary: every trigger
 	// collected in round ≥ 2 involves a fact derived the round before, i.e.
@@ -45,22 +46,17 @@ var (
 	gRound = obs.NewGauge(obs.StatusChaseRound)
 )
 
-// Per-TGD attribution families: which rule is checking, firing and deriving
-// (see internal/obs/attr). IDs are content-addressed by the rule's
-// canonical string and cached by rule pointer.
-var (
-	attrTriggers = attr.NewCounterVec(attr.FamTriggerChecks)
-	attrFirings  = attr.NewCounterVec(attr.FamRuleFirings)
-	attrDerived  = attr.NewCounterVec(attr.FamFactsDerived)
-)
-
-// ruleAttrID resolves (and caches) the attribution ID of a rule. Cold path:
-// called once per rule per round, only when attribution is enabled.
-func ruleAttrID(r *logic.TGD) attr.ID {
-	if id, ok := attr.OwnerID(r); ok {
+// ruleAttrID resolves (and caches) the attribution ID of a rule, or
+// obs.None when attribution is off. Cold path: called once per rule per
+// round.
+func ruleAttrID(r *logic.TGD) obs.ID {
+	if !obs.AttrEnabled() {
+		return obs.None
+	}
+	if id, ok := obs.OwnerID(r); ok {
 		return id
 	}
-	return attr.BindOwner(r, r.String())
+	return obs.BindOwner(r, r.String())
 }
 
 // ErrBudget is returned when the chase exceeds its safety budget. On a
@@ -281,9 +277,9 @@ func run(base *store.Store, tgds []*logic.TGD, opts Options, abortPred string) (
 //     store.NullForCoord) instead of being drawn from a shared counter, and
 //     each head is appended with one AddBatch.
 //
-// The output matches RunSequentialReference fact-for-fact at the same ids,
-// with the same provenance and round structure, modulo the renaming of
-// invented nulls.
+// The output matches the test-only reference chase (reference_test.go)
+// fact-for-fact at the same ids, with the same provenance and round
+// structure, modulo the renaming of invented nulls.
 //
 // sp is the enclosing chase.run trace span (inert when tracing is off):
 // each round emits a chase.round child, so a slow chase decomposes
@@ -363,13 +359,12 @@ func chaseLoop(base *store.Store, tgds []*logic.TGD, opts Options, abortPred str
 		var newDelta []store.FactID
 		var firings int64
 		for ri, rule := range tgds {
-			var rid attr.ID
-			if attr.Enabled() && len(perRule[ri]) > 0 {
+			rid := obs.None
+			if len(perRule[ri]) > 0 {
 				rid = ruleAttrID(rule)
 			}
 			for ti, m := range perRule[ri] {
-				mTriggers.Inc()
-				attrTriggers.Add(rid, 1)
+				mTriggers.AddFor(rid, 1)
 				frontier := m.Subst.Restrict(front[ri])
 				if headPlans[ri].ExistsSeeded(s, frontier) {
 					continue
@@ -390,8 +385,7 @@ func chaseLoop(base *store.Store, tgds []*logic.TGD, opts Options, abortPred str
 				for i, h := range rule.Head {
 					atoms[i] = inst.Apply(h)
 				}
-				mFirings.Inc()
-				attrFirings.Add(rid, 1)
+				mFirings.AddFor(rid, 1)
 				mNulls.Add(int64(len(exist[ri])))
 				ids, err := s.AddBatch(atoms)
 				if err != nil {
@@ -400,8 +394,7 @@ func chaseLoop(base *store.Store, tgds []*logic.TGD, opts Options, abortPred str
 					return res, fmt.Errorf("chase: firing %s: %w", rule, err)
 				}
 				firings++
-				mDerived.Add(int64(len(ids)))
-				attrDerived.Add(rid, int64(len(ids)))
+				mDerived.AddFor(rid, int64(len(ids)))
 				for i, id := range ids {
 					res.Prov[id] = Derivation{Rule: rule, Parents: m.Facts, HeadIdx: i}
 					newDelta = append(newDelta, id)

@@ -8,16 +8,15 @@ import (
 	"kbrepair/internal/store"
 )
 
-// RunSequentialReference computes the restricted chase with a minimal
+// runSequentialReference computes the restricted chase with a minimal
 // engine: triggers collected rule by rule, firing strictly sequential in
 // (rule, enumeration) order, invented nulls drawn from the store's global
-// FreshNull counter. It is retained — like homo.ReferenceForEachSeeded —
-// as the semantics baseline for Run: differential tests require Run's
-// output to match this one fact-for-fact at the same ids, with the same
-// provenance and round structure, modulo a bijective renaming of invented
-// nulls (store.EqualUpToNullRenaming). Unlike Run it is uninstrumented: no
-// metrics, spans or flight events.
-func RunSequentialReference(base *store.Store, tgds []*logic.TGD, opts Options) (*Result, error) {
+// FreshNull counter. It is the semantics baseline for Run: differential
+// tests require Run's output to match this one fact-for-fact at the same
+// ids, with the same provenance and round structure, modulo a bijective
+// renaming of invented nulls (store.EqualUpToNullRenaming). Unlike Run it
+// is uninstrumented: no metrics, spans or flight events.
+func runSequentialReference(base *store.Store, tgds []*logic.TGD, opts Options) (*Result, error) {
 	res := &Result{
 		Store:   base.Clone(),
 		BaseLen: base.Len(),

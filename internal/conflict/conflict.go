@@ -19,7 +19,6 @@ import (
 	"kbrepair/internal/homo"
 	"kbrepair/internal/logic"
 	"kbrepair/internal/obs"
-	"kbrepair/internal/obs/attr"
 	"kbrepair/internal/obs/flight"
 	"kbrepair/internal/par"
 	"kbrepair/internal/store"
@@ -28,7 +27,7 @@ import (
 // Detection and hypergraph-maintenance instrumentation.
 var (
 	mScans      = obs.NewCounter("conflict.scans")
-	mFound      = obs.NewCounter("conflict.conflicts_found")
+	mFound      = obs.NewRuleCounter("conflict.conflicts_found")
 	mDetectTime = obs.NewHistogram("conflict.detect_seconds", obs.LatencyBuckets)
 	mEdgeAdd    = obs.NewCounter("conflict.hyperedges_added")
 	mEdgeDel    = obs.NewCounter("conflict.hyperedges_removed")
@@ -36,20 +35,22 @@ var (
 	mUpdateTime = obs.NewHistogram("conflict.update_seconds", obs.LatencyBuckets)
 )
 
-// Per-CDD attribution families (see internal/obs/attr).
-var (
-	attrFound  = attr.NewCounterVec(attr.FamConflictsFound)
-	attrPinned = attr.NewCounterVec(attr.FamPinnedScans)
-)
+// attrPinned counts tracker pinned-plan scans per CDD; it has no global
+// total.
+var attrPinned = obs.NewRuleOnlyCounter("conflict.pinned_scans")
 
 // AttrID resolves (and caches) the attribution ID of a CDD, keyed by its
-// canonical string. Exported because the inquiry engine attributes
-// questions and Π-checks to the CDD whose conflict caused them.
-func AttrID(c *logic.CDD) attr.ID {
-	if id, ok := attr.OwnerID(c); ok {
+// canonical string, or returns obs.None when attribution is off. Exported
+// because the inquiry engine attributes questions and Π-checks to the CDD
+// whose conflict caused them.
+func AttrID(c *logic.CDD) obs.ID {
+	if !obs.AttrEnabled() {
+		return obs.None
+	}
+	if id, ok := obs.OwnerID(c); ok {
 		return id
 	}
-	return attr.BindOwner(c, c.String())
+	return obs.BindOwner(c, c.String())
 }
 
 // Conflict is one violation of one CDD.
@@ -196,7 +197,6 @@ func AllNaiveUnder(parent uint64, base *store.Store, cdds []*logic.CDD) []*Confl
 	for _, cs := range perCDD {
 		out = append(out, cs...)
 	}
-	mFound.Add(int64(len(out)))
 	flight.Record(flight.KindConflictScan, int64(len(cdds)), int64(len(out)), 0, 0)
 	if sp.Live() {
 		sp.End(obs.Int("conflicts", len(out)))
@@ -238,8 +238,8 @@ func scanCDD(s *store.Store, plan *homo.Plan, cdd *logic.CDD, idx int, res *chas
 		}
 		return true
 	})
-	if attr.Enabled() && len(out) > 0 {
-		attrFound.Add(AttrID(cdd), int64(len(out)))
+	if len(out) > 0 {
+		mFound.AddFor(AttrID(cdd), int64(len(out)))
 	}
 	return out
 }
@@ -286,7 +286,6 @@ func All(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts chase.Opt
 	for _, cs := range perCDD {
 		out = append(out, cs...)
 	}
-	mFound.Add(int64(len(out)))
 	flight.Record(flight.KindConflictScan, int64(len(cdds)), int64(len(out)), 1, 0)
 	if sp.Live() {
 		sp.End(obs.Int("conflicts", len(out)))

@@ -6,7 +6,6 @@ import (
 	"kbrepair/internal/homo"
 	"kbrepair/internal/logic"
 	"kbrepair/internal/obs"
-	"kbrepair/internal/obs/attr"
 	"kbrepair/internal/obs/flight"
 	"kbrepair/internal/par"
 	"kbrepair/internal/store"
@@ -200,8 +199,8 @@ func (t *Tracker) UpdateUnder(parent uint64, id store.FactID) {
 // returns how many it found.
 func (t *Tracker) addPinned(id store.FactID, ci, ai int, seed logic.Subst) int64 {
 	cdd := t.cdds[ci]
-	if attr.Enabled() {
-		attrPinned.Add(AttrID(cdd), 1)
+	if obs.AttrEnabled() {
+		attrPinned.AddFor(AttrID(cdd), 1)
 	}
 	var found int64
 	t.pinPlans[ci][ai].ForEachSeeded(t.base, seed, func(m homo.Match) bool {

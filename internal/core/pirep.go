@@ -7,7 +7,6 @@ import (
 	"kbrepair/internal/chase"
 	"kbrepair/internal/logic"
 	"kbrepair/internal/obs"
-	"kbrepair/internal/obs/attr"
 	"kbrepair/internal/obs/flight"
 	"kbrepair/internal/par"
 	"kbrepair/internal/store"
@@ -15,21 +14,15 @@ import (
 
 // Π-repairability instrumentation: how question filtering splits between
 // the Π-RepOpt fast path and full Algorithm 1 runs, and what the full runs
-// cost. The PiChecker's own FastHits/FullChecks fields remain the
-// per-session view used by the ablation tables.
+// cost. The Π-check metrics break down by cause: the CDD whose conflict
+// triggered the question being filtered (see PiChecker.SetCause). The
+// PiChecker's own FastHits/FullChecks fields remain the per-session view
+// used by the ablation tables.
 var (
-	mPiFast      = obs.NewCounter("core.pi_fast_hits")
-	mPiFull      = obs.NewCounter("core.pi_full_checks")
-	mPiCheckTime = obs.NewHistogram("core.pi_check_seconds", obs.LatencyBuckets)
+	mPiFast      = obs.NewRuleCounter("core.pi_fast_hits")
+	mPiFull      = obs.NewRuleCounter("core.pi_full_checks")
+	mPiCheckTime = obs.NewRuleHistogram("core.pi_check_seconds", obs.LatencyBuckets)
 	mCFixChecks  = obs.NewCounter("core.cfix_checks")
-)
-
-// Per-cause attribution families: Π-check work billed to the CDD whose
-// conflict triggered the question being filtered (see PiChecker.SetCause).
-var (
-	attrPiFast = attr.NewCounterVec(attr.FamPiFastHits)
-	attrPiFull = attr.NewCounterVec(attr.FamPiFullChecks)
-	attrPiTime = attr.NewHistogramVec(attr.FamPiCheckSeconds, obs.LatencyBuckets)
 )
 
 // Position aliases store.Position; it is re-exported here because the core
@@ -118,7 +111,7 @@ type PiChecker struct {
 	FastHits   int
 	FullChecks int
 	// cause is the attribution ID of the CDD whose conflict caused the
-	// current batch (attr.None when unknown). Atomic because checkChunk
+	// current batch (obs.None when unknown). Atomic because checkChunk
 	// reads it from worker goroutines.
 	cause atomic.Int32
 	// traceParent is the span id subsequent core.pi_batch spans are
@@ -129,7 +122,7 @@ type PiChecker struct {
 
 // SetCause attributes subsequent Π-check work to the given ID — the inquiry
 // engine sets it to the causing conflict's CDD before each SOUNDQUESTION.
-func (pc *PiChecker) SetCause(id attr.ID) { pc.cause.Store(int32(id)) }
+func (pc *PiChecker) SetCause(id obs.ID) { pc.cause.Store(int32(id)) }
 
 // SetTraceParent parents subsequent Π-batch trace spans under the given
 // span id — the inquiry engine points it at the question-generation span
@@ -144,7 +137,7 @@ func (pc *PiChecker) SetTraceParent(id uint64) { pc.traceParent.Store(id) }
 func NewPiChecker(kb *KB) *PiChecker {
 	chase.PrecompilePlans(kb.Facts, kb.TGDs, kb.CDDs)
 	pc := &PiChecker{kb: kb, ruleConst: make(map[logic.Term]bool), Optimized: true}
-	pc.cause.Store(int32(attr.None))
+	pc.cause.Store(int32(obs.None))
 	collect := func(as []logic.Atom) {
 		for _, a := range as {
 			for _, t := range a.Args {
@@ -207,7 +200,9 @@ func (pc *PiChecker) CheckBatch(pi Pi, fixes []Fix) ([]bool, error) {
 		sp = obs.StartSpanUnder(pc.traceParent.Load(), "core.pi_batch",
 			obs.Int("batch", len(fixes)))
 	}
+	cause := obs.ID(pc.cause.Load())
 	defer func() {
+		mPiFast.AddFor(cause, fastHits)
 		flight.Record(flight.KindPiBatch, fastHits, int64(len(full)), accepted, 0)
 		if sp.Live() {
 			sp.End(obs.Int64("fast_hits", fastHits),
@@ -215,11 +210,9 @@ func (pc *PiChecker) CheckBatch(pi Pi, fixes []Fix) ([]bool, error) {
 				obs.Int64("accepted", accepted))
 		}
 	}()
-	cause := attr.ID(pc.cause.Load())
 	for i, f := range fixes {
 		if pc.Optimized && pc.fastSafe(pi, f) {
 			pc.FastHits++
-			mPiFast.Inc()
 			fastHits++
 			out[i] = true
 			continue
@@ -229,10 +222,8 @@ func (pc *PiChecker) CheckBatch(pi Pi, fixes []Fix) ([]bool, error) {
 		}
 		full = append(full, i)
 	}
-	attrPiFast.Add(cause, fastHits)
 	pc.FullChecks += len(full)
-	mPiFull.Add(int64(len(full)))
-	attrPiFull.Add(cause, int64(len(full)))
+	mPiFull.AddFor(cause, int64(len(full)))
 	if err := pc.runFullChecks(pi, fixes, full, out); err != nil {
 		return nil, err
 	}
@@ -284,7 +275,7 @@ func (pc *PiChecker) runFullChecks(pi Pi, fixes []Fix, full []int, out []bool) e
 // Π-nulled instance, mutating only the fix position between checks.
 func (pc *PiChecker) checkChunk(pi Pi, fixes []Fix, idxs []int, out []bool) error {
 	nulled := nulledCopy(pc.kb.Facts, pi)
-	cause := attr.ID(pc.cause.Load())
+	cause := obs.ID(pc.cause.Load())
 	// Chunks may run on worker goroutines: their chases stay out of the
 	// trace (interleaved spans from racing workers would make the trace
 	// depend on the worker count). CheckBatch's pi_batch span carries the
@@ -301,8 +292,7 @@ func (pc *PiChecker) checkChunk(pi Pi, fixes []Fix, idxs []int, out []bool) erro
 		prev := nulled.MustSetValue(f.Pos, f.Value)
 		tm := obs.StartTimer()
 		ok, err := chase.IsConsistentOpt(nulled, pc.kb.TGDs, pc.kb.CDDs, opts)
-		mPiCheckTime.Since(tm)
-		attrPiTime.Since(cause, tm)
+		mPiCheckTime.SinceFor(cause, tm)
 		nulled.MustSetValue(f.Pos, prev)
 		if err != nil {
 			return err

@@ -190,7 +190,7 @@ func WriteBenchReportFile(r BenchReport, path string) error {
 }
 
 // ReadBenchReportFile loads a report written by WriteBenchReportFile and
-// validates its schema version.
+// validates its schema version and histogram shapes.
 func ReadBenchReportFile(path string) (BenchReport, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -203,6 +203,9 @@ func ReadBenchReportFile(path string) (BenchReport, error) {
 	if r.SchemaVersion != BenchSchemaVersion {
 		return BenchReport{}, fmt.Errorf("bench baseline %s: schema version %d, this binary reads %d",
 			path, r.SchemaVersion, BenchSchemaVersion)
+	}
+	if err := r.Metrics.Validate(); err != nil {
+		return BenchReport{}, fmt.Errorf("bench baseline %s: %w", path, err)
 	}
 	return r, nil
 }

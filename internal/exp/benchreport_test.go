@@ -76,6 +76,17 @@ func TestReadBenchReportFileRejectsBadSchema(t *testing.T) {
 	if _, err := ReadBenchReportFile(bad); err == nil {
 		t.Fatal("malformed JSON accepted")
 	}
+	// A histogram with more bucket counts than bounds allow.
+	rep = NewBenchReport("", snapWithMean("x.seconds", 1, 0.01))
+	h := rep.Metrics.Histograms["x.seconds"]
+	h.Counts = append(h.Counts, 0)
+	rep.Metrics.Histograms["x.seconds"] = h
+	if err := WriteBenchReportFile(rep, path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadBenchReportFile(path); err == nil || !strings.Contains(err.Error(), "x.seconds") {
+		t.Fatalf("malformed histogram: err = %v, want one naming x.seconds", err)
+	}
 }
 
 func TestCompareBenchReportsFlagsRegression(t *testing.T) {

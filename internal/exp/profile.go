@@ -6,7 +6,6 @@ import (
 
 	"kbrepair/internal/homo"
 	"kbrepair/internal/obs"
-	"kbrepair/internal/obs/attr"
 )
 
 // ProfileTopK bounds the profile rows embedded in a BenchReport. Fifty
@@ -29,19 +28,18 @@ type Profile struct {
 	Bodies    int `json:"bodies"`
 	Truncated int `json:"truncated,omitempty"`
 	// Rows are the most expensive bodies, sorted by self-time then
-	// backtrack nodes (see attr.Rows).
-	Rows []attr.Row `json:"rows"`
+	// backtrack nodes (see obs.Rows).
+	Rows []obs.Row `json:"rows"`
 }
 
-// BuildProfile assembles the profile from an attribution snapshot and the
-// global metrics snapshot. A nil attribution snapshot (attribution was
-// disabled) yields a nil profile, so the BenchReport section is omitted
-// rather than empty.
-func BuildProfile(s *attr.Snapshot, m obs.Snapshot) *Profile {
+// BuildProfile assembles the profile from a rule snapshot and the global
+// metrics snapshot. A nil rule snapshot (attribution was disabled) yields
+// a nil profile, so the BenchReport section is omitted rather than empty.
+func BuildProfile(s *obs.RuleSnapshot, m obs.Snapshot) *Profile {
 	if s == nil {
 		return nil
 	}
-	rows := attr.Rows(s)
+	rows := obs.Rows(s)
 	p := &Profile{
 		PlanCompiles:  m.Counters["homo.plan_compiles"],
 		PlanCacheHits: m.Counters["homo.plan_cache_hits"],
@@ -55,7 +53,7 @@ func BuildProfile(s *attr.Snapshot, m obs.Snapshot) *Profile {
 		rows = rows[:ProfileTopK]
 	}
 	// Join each row to its compiled-plan annotation: the kernel mode and the
-	// compile-time order the body actually ran with. attr keys rows by the
+	// compile-time order the body actually ran with. Rows are keyed by the
 	// body's canonical string — the same key homo records plans under.
 	for i := range rows {
 		if info, ok := homo.PlanInfoFor(rows[i].Body); ok {
@@ -98,9 +96,8 @@ func WriteProfile(w io.Writer, p *Profile) {
 
 // CheckPlans is the gate behind kbbench -plans-check (make
 // bench-plans-smoke): every profiled body must carry a compiled-plan
-// annotation, and none may run the legacy adaptive kernel unless a caller
-// forced it explicitly. It consults the live plan registry, so it only
-// makes sense in the process that ran the searches.
+// annotation from the live plan registry, so it only makes sense in the
+// process that ran the searches.
 func CheckPlans(p *Profile) error {
 	if p == nil {
 		return fmt.Errorf("plans: profile missing (attribution was off)")
@@ -109,12 +106,8 @@ func CheckPlans(p *Profile) error {
 		if r.Mode == "" {
 			return fmt.Errorf("plans: body %q ran without a compiled-plan annotation", r.Body)
 		}
-		info, ok := homo.PlanInfoFor(r.Body)
-		if !ok {
+		if _, ok := homo.PlanInfoFor(r.Body); !ok {
 			return fmt.Errorf("plans: body %q missing from the plan registry", r.Body)
-		}
-		if info.Mode == homo.ModeAdaptive.String() && !info.Forced {
-			return fmt.Errorf("plans: body %q silently fell back to the adaptive kernel", r.Body)
 		}
 	}
 	return nil

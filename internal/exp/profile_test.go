@@ -7,7 +7,6 @@ import (
 
 	"kbrepair/internal/inquiry"
 	"kbrepair/internal/obs"
-	"kbrepair/internal/obs/attr"
 	"kbrepair/internal/par"
 	"kbrepair/internal/synth"
 )
@@ -17,7 +16,7 @@ import (
 // run — and returns the resulting profile.
 func profileWorkload(t *testing.T) *Profile {
 	t.Helper()
-	attr.Reset()
+	obs.ResetRules()
 	obs.Default().Reset()
 	g, err := synth.Generate(synth.Params{
 		Seed: 7, NumFacts: 300, InconsistencyRatio: 0.10, NumCDDs: 10,
@@ -29,7 +28,7 @@ func profileWorkload(t *testing.T) *Profile {
 	if _, err := RunStrategies(g.KB, 1, 7, inquiry.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	p := BuildProfile(attr.Capture(), obs.Default().Snapshot())
+	p := BuildProfile(obs.CaptureRules(), obs.Default().Snapshot())
 	if p == nil {
 		t.Fatal("BuildProfile returned nil with attribution enabled")
 	}
@@ -43,13 +42,13 @@ func profileWorkload(t *testing.T) *Profile {
 // cache compiles each key exactly once — nothing scheduling-dependent is
 // left.
 func TestProfileDeterministicAcrossWorkers(t *testing.T) {
-	prevAttr := attr.Enabled()
-	attr.SetEnabled(true)
+	prevAttr := obs.AttrEnabled()
+	obs.SetAttrEnabled(true)
 	obs.SetEnabled(false) // timing off: Seconds/TimeShare must be exactly 0
 	t.Cleanup(func() {
-		attr.SetEnabled(prevAttr)
+		obs.SetAttrEnabled(prevAttr)
 		par.SetWorkers(0)
-		attr.Reset()
+		obs.ResetRules()
 		obs.Default().Reset()
 	})
 
@@ -95,7 +94,7 @@ func TestCompareBenchReportsTreeGate(t *testing.T) {
 		r := NewBenchReport("gate", obs.Snapshot{})
 		r.Profile = &Profile{
 			Bodies: 2,
-			Rows: []attr.Row{
+			Rows: []obs.Row{
 				{Body: "p(X), q(X)", Searches: 10, Nodes: nodes},
 				{Body: "tiny(X)", Searches: 1, Nodes: tiny},
 			},

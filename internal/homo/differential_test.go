@@ -128,7 +128,6 @@ func compileVariants(g *synth.Generated) []homo.CompileOpts {
 	return []homo.CompileOpts{
 		{},
 		{Stats: g.KB.Facts},
-		{Mode: homo.ModeAdaptive},
 		{Mode: homo.ModeWCOJ},
 	}
 }

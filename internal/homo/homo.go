@@ -13,9 +13,8 @@
 // chosen at compile time (see order.go): acyclic bodies execute a fixed
 // atom order picked by a cost-based orderer (with one-step forward
 // checking), cyclic bodies — in the GYO ear-removal sense — execute a
-// variable-at-a-time generic join (see wcoj.go), and the legacy per-node
-// adaptive ordering survives only behind an explicit CompileOpts.Mode for
-// comparison. Rule-derived conjunctions share compiled plans through
+// variable-at-a-time generic join (see wcoj.go); CompileOpts.Mode can force
+// either kernel. Rule-derived conjunctions share compiled plans through
 // CachedPlan, keyed by rule identity plus the compile spec; CompileOpts
 // also supports seed-specialized plans whose Prebound variables count as
 // bound for ordering. The package-level functions below compile on the fly
@@ -36,11 +35,13 @@ import (
 
 // Search instrumentation. Node and probe counts accumulate in the search
 // state and flush to the striped counters once per search, keeping the
-// per-node overhead at plain integer increments.
+// per-node overhead at plain integer increments. The counters break down by
+// body: each flush bills the plan's interned body key (unattributed when
+// attribution is off).
 var (
-	mSearches = obs.NewCounter("homo.searches")
-	mNodes    = obs.NewCounter("homo.backtrack_nodes")
-	mProbes   = obs.NewCounter("homo.index_probes")
+	mSearches = obs.NewRuleCounter(obs.FamSearches)
+	mNodes    = obs.NewRuleCounter(obs.FamNodes)
+	mProbes   = obs.NewRuleCounter(obs.FamProbes)
 	mTime     = obs.NewHistogram("homo.match_seconds", obs.LatencyBuckets)
 )
 

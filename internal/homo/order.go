@@ -37,10 +37,6 @@ const (
 	// every atom mentioning the slot, which is worst-case optimal on cyclic
 	// bodies where any atom-at-a-time order enumerates spurious prefixes.
 	ModeWCOJ
-	// ModeAdaptive is the legacy per-node least-candidates ordering. It is
-	// never chosen automatically; tests and benchmarks select it explicitly
-	// to compare trees against the old engine.
-	ModeAdaptive
 )
 
 func (m Mode) String() string {
@@ -49,8 +45,6 @@ func (m Mode) String() string {
 		return "static"
 	case ModeWCOJ:
 		return "wcoj"
-	case ModeAdaptive:
-		return "adaptive"
 	default:
 		return "auto"
 	}

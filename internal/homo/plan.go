@@ -5,7 +5,6 @@ import (
 
 	"kbrepair/internal/logic"
 	"kbrepair/internal/obs"
-	"kbrepair/internal/obs/attr"
 	"kbrepair/internal/obs/flight"
 	"kbrepair/internal/store"
 )
@@ -19,17 +18,14 @@ var (
 	mPlanHits     = obs.NewCounter("homo.plan_cache_hits")
 )
 
-// Per-body attribution families (see internal/obs/attr): every search
-// flushes its cost against the plan's interned body key, so the profile can
-// rank bodies by tree size and self-time.
+// Per-body breakdown of search cost that has no global total: every search
+// flushes it against the plan's interned body key, so the profile can rank
+// bodies by tree size and self-time.
 var (
-	attrSearches  = attr.NewCounterVec(attr.FamSearches)
-	attrNodes     = attr.NewCounterVec(attr.FamNodes)
-	attrProbes    = attr.NewCounterVec(attr.FamProbes)
-	attrMatches   = attr.NewCounterVec(attr.FamMatches)
-	attrNodesPer  = attr.NewHistogramVec(attr.FamNodesPerSearch, attr.SizeBuckets)
-	attrProbesPer = attr.NewHistogramVec(attr.FamProbesPerSearch, attr.SizeBuckets)
-	attrTime      = attr.NewHistogramVec(attr.FamSearchSeconds, obs.LatencyBuckets)
+	attrMatches   = obs.NewRuleOnlyCounter(obs.FamMatches)
+	attrNodesPer  = obs.NewRuleOnlyHistogram(obs.FamNodesPerSearch, obs.SizeBuckets)
+	attrProbesPer = obs.NewRuleOnlyHistogram(obs.FamProbesPerSearch, obs.SizeBuckets)
+	attrTime      = obs.NewRuleOnlyHistogram(obs.FamSearchSeconds, obs.LatencyBuckets)
 )
 
 // bodyKey is the content-addressed attribution key of a conjunction: the
@@ -70,18 +66,17 @@ type Plan struct {
 	slotOf    map[logic.Term]int
 	slotAtoms [][]int // slot -> indices of atoms mentioning it
 	pool      sync.Pool
-	// mode is the kernel resolved at compile time (static, wcoj or the
-	// explicitly requested legacy adaptive).
+	// mode is the kernel resolved at compile time (static or wcoj).
 	mode Mode
 	// order is the static kernel's atom visit order; vorder is the wcoj
 	// kernel's slot binding order. Only the resolved mode's field is set.
 	order  []int
 	vorder []int
 	// aid is the interned attribution key of the body, resolved at compile
-	// time (attr.None when attribution was off then — plans compiled before
-	// attr.SetEnabled record nothing, which the CLIs avoid by enabling
-	// attribution before any work).
-	aid attr.ID
+	// time (obs.None when attribution was off then — plans compiled before
+	// obs.SetAttrEnabled record unattributed, which the CLIs avoid by
+	// enabling attribution before any work).
+	aid obs.ID
 }
 
 // Mode returns the kernel the plan was compiled for.
@@ -105,10 +100,10 @@ func CompileWith(body []logic.Atom, opts CompileOpts) *Plan {
 	p := &Plan{
 		atoms:  make([]planAtom, len(body)),
 		slotOf: make(map[logic.Term]int),
-		aid:    attr.None,
+		aid:    obs.None,
 	}
-	if attr.Enabled() {
-		p.aid = attr.Intern(bodyKey(body))
+	if obs.AttrEnabled() {
+		p.aid = obs.Intern(bodyKey(body))
 	}
 	for i, a := range body {
 		pa := planAtom{pred: a.Pred, arity: len(a.Args), args: make([]planArg, len(a.Args))}
@@ -260,7 +255,6 @@ type exec struct {
 	set   []bool       // slot -> bound?
 	trail []int        // bound slots in binding order; undo = truncate
 
-	done  []bool
 	facts []store.FactID
 
 	// Candidate cache: cands[i] is valid while fresh[i] holds. A slot
@@ -277,7 +271,7 @@ type exec struct {
 	wseen  []map[logic.Term]struct{}
 
 	// scratch is the Subst materialized for fn at each match; like the
-	// legacy engine's live map it is only valid during the callback.
+	// reference executor's live map it is only valid during the callback.
 	scratch logic.Subst
 	// Seed bindings for variables that have no slot (not mentioned in the
 	// body, e.g. head variables in tracker seeds); appended at match time.
@@ -298,7 +292,6 @@ func newExec(p *Plan) *exec {
 		bind:    make([]logic.Term, len(p.vars)),
 		set:     make([]bool, len(p.vars)),
 		trail:   make([]int, 0, len(p.vars)),
-		done:    make([]bool, n),
 		facts:   make([]store.FactID, n),
 		cands:   make([][]store.FactID, n),
 		fresh:   make([]bool, n),
@@ -319,8 +312,7 @@ func (e *exec) reset(s *store.Store, seed logic.Subst, fn func(Match) bool) {
 	for i := range e.set {
 		e.set[i] = false
 	}
-	for i := range e.done {
-		e.done[i] = false
+	for i := range e.fresh {
 		e.fresh[i] = false
 	}
 	e.trail = e.trail[:0]
@@ -352,8 +344,8 @@ func (e *exec) release() {
 // one-step forward checking: after extending the bindings it peeks at the
 // next atom's candidate list — served from the per-atom cache, so the peek
 // costs at most one index probe — and skips the child node outright when
-// the list is empty. The adaptive kernel pays a full node to discover the
-// same dead end, so at equal order quality static trees are strictly
+// the list is empty. A kernel without the peek pays a full node to discover
+// the same dead end, so at equal order quality static trees are strictly
 // smaller on failing branches.
 func (e *exec) runStatic(depth int) {
 	if e.stopped {
@@ -391,70 +383,10 @@ func (e *exec) runStatic(depth int) {
 	}
 }
 
-// run matches the remaining len(atoms)-depth atoms — the same search tree,
-// node for node, as the legacy engine's search.run. Kept as the explicitly
-// selectable ModeAdaptive kernel.
-func (e *exec) run(depth int) {
-	if e.stopped {
-		return
-	}
-	e.nodes++
-	if depth == len(e.p.atoms) {
-		e.matches++
-		if e.fn == nil { // exists-only mode
-			e.matched = true
-			e.stopped = true
-			return
-		}
-		if !e.fn(Match{Subst: e.materialize(), Facts: e.facts}) {
-			e.stopped = true
-		}
-		return
-	}
-	idx, cands := e.pickAtom()
-	e.done[idx] = true
-	for _, fid := range cands {
-		fact := e.s.FactRef(fid)
-		mark := len(e.trail)
-		if e.matchAtom(idx, fact) {
-			e.facts[idx] = fid
-			e.run(depth + 1)
-		}
-		e.undo(mark)
-		if e.stopped {
-			break
-		}
-	}
-	e.done[idx] = false
-}
-
-// pickAtom selects the unmatched atom with the fewest candidates under the
-// current bindings — identical selection (including tie-breaking by body
-// order and the zero-candidate early break) to the legacy engine, but
-// candidate lists are served from the per-atom cache when still fresh.
-func (e *exec) pickAtom() (int, []store.FactID) {
-	bestIdx := -1
-	var bestCands []store.FactID
-	bestCount := int(^uint(0) >> 1)
-	for i := range e.p.atoms {
-		if e.done[i] {
-			continue
-		}
-		c := e.candidates(i)
-		if len(c) < bestCount {
-			bestIdx, bestCands, bestCount = i, c, len(c)
-			if bestCount == 0 {
-				break
-			}
-		}
-	}
-	return bestIdx, bestCands
-}
-
 // candidates returns the most selective index list for atom i, recomputing
 // only when a slot of the atom changed since the last probe. The probe
 // selection order (predicate index first, then argument positions left to
-// right, strictly smaller wins) matches the legacy engine exactly — the
+// right, strictly smaller wins) matches the reference executor exactly — the
 // chosen list's identity, not just its length, determines enumeration order.
 func (e *exec) candidates(i int) []store.FactID {
 	if e.fresh[i] {
@@ -576,7 +508,7 @@ func (p *Plan) ExistsSeeded(s *store.Store, seed logic.Subst) bool {
 // (stop at the first match, no Subst materialization). Returns whether a
 // match was found.
 func (p *Plan) search(s *store.Store, seed logic.Subst, fn func(Match) bool) bool {
-	mSearches.Inc()
+	mSearches.AddFor(p.aid, 1)
 	tm := obs.StartTimer()
 	if len(p.atoms) == 0 {
 		if fn != nil {
@@ -588,12 +520,11 @@ func (p *Plan) search(s *store.Store, seed logic.Subst, fn func(Match) bool) boo
 		}
 		flight.Record(flight.KindHomoSearch, 0, 0, 0, 1)
 		mTime.Since(tm)
-		if attr.Enabled() {
-			attrSearches.Add(p.aid, 1)
-			attrMatches.Add(p.aid, 1)
-			attrNodesPer.Observe(p.aid, 0)
-			attrProbesPer.Observe(p.aid, 0)
-			attrTime.Since(p.aid, tm)
+		if obs.AttrEnabled() {
+			attrMatches.AddFor(p.aid, 1)
+			attrNodesPer.ObserveFor(p.aid, 0)
+			attrProbesPer.ObserveFor(p.aid, 0)
+			attrTime.SinceFor(p.aid, tm)
 		}
 		return true
 	}
@@ -602,24 +533,19 @@ func (p *Plan) search(s *store.Store, seed logic.Subst, fn func(Match) bool) boo
 	switch p.mode {
 	case ModeWCOJ:
 		e.runWCOJ()
-	case ModeAdaptive:
-		e.run(0)
 	default:
 		e.runStatic(0)
 	}
 	matched := e.matched || e.matches > 0
-	mNodes.Add(e.nodes)
-	mProbes.Add(e.probes)
+	mNodes.AddFor(p.aid, e.nodes)
+	mProbes.AddFor(p.aid, e.probes)
 	flight.Record(flight.KindHomoSearch, int64(len(p.atoms)), e.nodes, e.probes, e.matches)
 	mTime.Since(tm)
-	if attr.Enabled() {
-		attrSearches.Add(p.aid, 1)
-		attrNodes.Add(p.aid, e.nodes)
-		attrProbes.Add(p.aid, e.probes)
-		attrMatches.Add(p.aid, e.matches)
-		attrNodesPer.Observe(p.aid, float64(e.nodes))
-		attrProbesPer.Observe(p.aid, float64(e.probes))
-		attrTime.Since(p.aid, tm)
+	if obs.AttrEnabled() {
+		attrMatches.AddFor(p.aid, e.matches)
+		attrNodesPer.ObserveFor(p.aid, float64(e.nodes))
+		attrProbesPer.ObserveFor(p.aid, float64(e.probes))
+		attrTime.SinceFor(p.aid, tm)
 	}
 	e.release()
 	p.pool.Put(e)

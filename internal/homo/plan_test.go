@@ -60,7 +60,7 @@ func collectPlan(p *Plan, s *store.Store, seed logic.Subst) []Match {
 
 func collectReference(s *store.Store, body []logic.Atom, seed logic.Subst) []Match {
 	var out []Match
-	ReferenceForEachSeeded(s, body, seed, func(m Match) bool {
+	referenceForEachSeeded(s, body, seed, func(m Match) bool {
 		out = append(out, m.Clone())
 		return true
 	})
@@ -79,7 +79,6 @@ func TestPlanMatchesReference(t *testing.T) {
 	for _, opts := range []CompileOpts{
 		{},
 		{Stats: s},
-		{Mode: ModeAdaptive},
 		{Mode: ModeWCOJ},
 	} {
 		got := matchSet(collectPlan(CompileWith(body, opts), s, nil))
@@ -106,7 +105,6 @@ func TestPlanSeededMatchesReference(t *testing.T) {
 		{},
 		{Stats: s},
 		{Stats: s, Prebound: []logic.Term{logic.V("Y"), logic.V("W")}},
-		{Mode: ModeAdaptive},
 		{Mode: ModeWCOJ},
 	} {
 		got := matchSet(collectPlan(CompileWith(body, opts), s, seed))
@@ -118,7 +116,7 @@ func TestPlanSeededMatchesReference(t *testing.T) {
 
 // TestPlanNodesNotWorseThanReference asserts the tentpole's perf criterion at
 // unit granularity: the stats-informed static kernel explores no more
-// backtrack nodes than the legacy adaptive reference on the same workload,
+// backtrack nodes than the adaptive reference executor on the same workload,
 // and finds exactly as many matches.
 func TestPlanNodesNotWorseThanReference(t *testing.T) {
 	s, body := planFixture(t, 60)
@@ -330,6 +328,6 @@ func BenchmarkHomoReference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ReferenceForEachSeeded(s, body, nil, fn)
+		referenceForEachSeeded(s, body, nil, fn)
 	}
 }

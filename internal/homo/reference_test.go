@@ -5,15 +5,14 @@ import (
 	"kbrepair/internal/store"
 )
 
-// ReferenceForEachSeeded is the original map-based backtracking executor,
+// referenceForEachSeeded is the original map-based backtracking executor,
 // retained verbatim (minus instrumentation) as the oracle for differential
 // tests of the compiled plan engine. It must enumerate exactly the same
-// matches in exactly the same order as Plan.ForEachSeeded; it is exported
-// because the synth-workload differential test lives in an external test
-// package (internal/synth depends on this package via core and chase).
-//
-// It is not used by any production code path and carries no counters.
-func ReferenceForEachSeeded(s *store.Store, body []logic.Atom, seed logic.Subst, fn func(Match) bool) {
+// matches in exactly the same order as Plan.ForEachSeeded. export_test.go
+// exports it to the synth-workload differential test, which lives in an
+// external test package (internal/synth depends on this package via core
+// and chase).
+func referenceForEachSeeded(s *store.Store, body []logic.Atom, seed logic.Subst, fn func(Match) bool) {
 	if len(body) == 0 {
 		sub := seed
 		if sub == nil {

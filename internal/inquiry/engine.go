@@ -9,19 +9,20 @@ import (
 	"kbrepair/internal/conflict"
 	"kbrepair/internal/core"
 	"kbrepair/internal/obs"
-	"kbrepair/internal/obs/attr"
 	"kbrepair/internal/obs/flight"
 )
 
 // Dialogue instrumentation. The per-question delay histogram carries the
 // same quantity as Round.Delay / stats.Summarize over Result.Delays(), so a
 // metrics snapshot can be reconciled against the experiment tables.
+// Questions and their delay break down by the CDD of the conflict being
+// resolved.
 var (
 	mInqRuns   = obs.NewCounter("inquiry.runs")
-	mQuestions = obs.NewCounter("inquiry.questions")
+	mQuestions = obs.NewRuleCounter("inquiry.questions")
 	mPhase1    = obs.NewCounter("inquiry.phase1_rounds")
 	mPhase2    = obs.NewCounter("inquiry.phase2_rounds")
-	hDelay     = obs.NewHistogram("inquiry.question_delay_seconds", obs.LatencyBuckets)
+	hDelay     = obs.NewRuleHistogram("inquiry.question_delay_seconds", obs.LatencyBuckets)
 
 	// Live-progress gauges read back by /statusz and the time-series
 	// sampler. They describe the current (most recent) run; each Run resets
@@ -29,13 +30,6 @@ var (
 	gPhase     = obs.NewGauge(obs.StatusPhase)
 	gConflicts = obs.NewGauge(obs.StatusConflictsRemaining)
 	gAsked     = obs.NewGauge(obs.StatusQuestionsAsked)
-)
-
-// Per-CDD attribution families: questions and their computation delay,
-// billed to the CDD of the conflict being resolved.
-var (
-	attrQuestions = attr.NewCounterVec(attr.FamQuestions)
-	attrQDelay    = attr.NewHistogramVec(attr.FamQuestionDelay, obs.LatencyBuckets)
 )
 
 // statusBegin resets the live-progress gauges for a fresh run.
@@ -244,11 +238,8 @@ func (e *Engine) ask(cs []*conflict.Conflict, x *conflict.Conflict, phase int, q
 	t0 := obs.Now()
 	// Attribute the Π-checks this question will run — and the question
 	// itself — to the CDD whose conflict is being resolved.
-	qid := attr.None
-	if attr.Enabled() {
-		qid = conflict.AttrID(x.CDD)
-		e.pc.SetCause(qid)
-	}
+	qid := conflict.AttrID(x.CDD)
+	e.pc.SetCause(qid)
 	ssp := qsp.Child("inquiry.sound_question")
 	e.pc.SetTraceParent(ssp.ID())
 	positions := positionsStep()
@@ -280,11 +271,9 @@ func (e *Engine) ask(cs []*conflict.Conflict, x *conflict.Conflict, phase int, q
 	// Measured on the tracer clock: the value lands in the question span's
 	// delay_us attribute, which must be deterministic under an injected clock.
 	delay := obs.Now().Sub(t0)
-	mQuestions.Inc()
+	mQuestions.AddFor(qid, 1)
 	gAsked.Add(1)
-	hDelay.Observe(delay.Seconds())
-	attrQuestions.Add(qid, 1)
-	attrQDelay.Observe(qid, delay.Seconds())
+	hDelay.ObserveFor(qid, delay.Seconds())
 	if phase == 1 {
 		mPhase1.Inc()
 	} else {

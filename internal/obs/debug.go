@@ -42,9 +42,10 @@ func RegisterDebugHandler(pattern string, h http.Handler) {
 
 // DebugMux builds the debug server's routing table: pprof handlers
 // (/debug/pprof/...), expvar (/debug/vars), the Prometheus exposition of
-// the default registry (/metrics), the live run status (/statusz), and any
-// registered extra handlers (/debugz when internal/obs/flight is linked).
-// It is exported so tests can mount it on an httptest.Server.
+// the default registry (/metrics), the live run status (/statusz), the
+// per-rule profile (/profilez), and any registered extra handlers (/debugz
+// when internal/obs/flight is linked). It is exported so tests can mount it
+// on an httptest.Server.
 func DebugMux() *http.ServeMux {
 	PublishExpvar()
 	mux := http.NewServeMux()
@@ -56,6 +57,7 @@ func DebugMux() *http.ServeMux {
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.Handle("/metrics", MetricsHandler())
 	mux.Handle("/statusz", StatuszHandler())
+	mux.Handle("/profilez", profilezHandler())
 	extraMu.Lock()
 	for p, h := range extraHandlers {
 		mux.Handle(p, h)

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"kbrepair/internal/obs"
-	"kbrepair/internal/obs/attr"
 	"kbrepair/internal/obs/traceview"
 )
 
@@ -87,7 +86,7 @@ type Bundle struct {
 	// Attr is the per-rule attribution snapshot; present only when
 	// attribution was enabled at capture time (additive section, so the
 	// schema version is unchanged).
-	Attr *attr.Snapshot `json:"attr,omitempty"`
+	Attr *obs.RuleSnapshot `json:"attr,omitempty"`
 	// Trace is the question-latency digest of the process-wide trace ring:
 	// the slowest recent questions with their waterfall decompositions.
 	// Present only when tracing was on at capture time (additive section).
@@ -198,7 +197,7 @@ func Capture(reason string) *Bundle {
 		KBDigest:     marshalSection(digFn),
 		Journal:      marshalSection(jrnFn),
 		Plans:        marshalSection(plnFn),
-		Attr:         attr.Capture(),
+		Attr:         obs.CaptureRules(),
 		Trace:        captureTrace(),
 		Runtime:      obs.ReadRuntime(),
 		HeapProfile:  profileText("heap"),
@@ -408,6 +407,9 @@ func ReadBundle(path string) (*Bundle, error) {
 			return nil, fmt.Errorf("debug bundle %s: schema version %d, this binary reads %d",
 				path, b.SchemaVersion, BundleSchemaVersion)
 		}
+		if err := b.validate(); err != nil {
+			return nil, fmt.Errorf("debug bundle %s: %w", path, err)
+		}
 		return &b, nil
 	}
 
@@ -453,7 +455,7 @@ func ReadBundle(path string) (*Bundle, error) {
 		b.Plans = json.RawMessage(bytes.TrimSpace(data))
 	}
 	if data, err := os.ReadFile(filepath.Join(path, "attr.json")); err == nil {
-		var s attr.Snapshot
+		var s obs.RuleSnapshot
 		if err := json.Unmarshal(data, &s); err != nil {
 			return nil, fmt.Errorf("debug bundle %s: attr: %w", path, err)
 		}
@@ -482,7 +484,25 @@ func ReadBundle(path string) (*Bundle, error) {
 	if data, err := os.ReadFile(filepath.Join(path, "block.pprof")); err == nil {
 		b.BlockProfile = string(data)
 	}
+	if err := b.validate(); err != nil {
+		return nil, fmt.Errorf("debug bundle %s: %w", path, err)
+	}
 	return &b, nil
+}
+
+// validate rejects histogram snapshots whose shape the renderers cannot
+// read (see obs.HistogramSnapshot.Validate), so a malformed file fails
+// with an error rather than a panic in the quantile code.
+func (b *Bundle) validate() error {
+	if err := b.Metrics.Validate(); err != nil {
+		return fmt.Errorf("metrics: %w", err)
+	}
+	if b.Attr != nil {
+		if err := b.Attr.Validate(); err != nil {
+			return fmt.Errorf("attr: %w", err)
+		}
+	}
+	return nil
 }
 
 // Config is the post-mortem surface the CLIs expose as flags.

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"kbrepair/internal/obs"
-	"kbrepair/internal/obs/attr"
 )
 
 func clearProviders(t *testing.T) {
@@ -199,14 +198,14 @@ func TestBundleAttrSectionRoundtrip(t *testing.T) {
 	resetGlobal(t)
 	clearProviders(t)
 	Enable(32)
-	prev := attr.Enabled()
-	attr.SetEnabled(true)
+	prev := obs.AttrEnabled()
+	obs.SetAttrEnabled(true)
 	t.Cleanup(func() {
-		attr.SetEnabled(prev)
-		attr.Reset()
+		obs.SetAttrEnabled(prev)
+		obs.ResetRules()
 	})
-	vec := attr.NewCounterVec("test.bundle_counter")
-	vec.Add(attr.Intern("r(X) -> s(X)"), 9)
+	vec := obs.NewRuleOnlyCounter("test.bundle_counter")
+	vec.AddFor(obs.Intern("r(X) -> s(X)"), 9)
 
 	b := Capture("attr-roundtrip")
 	if b.Attr == nil {
@@ -312,9 +311,9 @@ func TestCaptureOmitsAttrWhenDisabled(t *testing.T) {
 	resetGlobal(t)
 	clearProviders(t)
 	Enable(32)
-	prev := attr.Enabled()
-	attr.SetEnabled(false)
-	t.Cleanup(func() { attr.SetEnabled(prev) })
+	prev := obs.AttrEnabled()
+	obs.SetAttrEnabled(false)
+	t.Cleanup(func() { obs.SetAttrEnabled(prev) })
 
 	b := Capture("no-attr")
 	if b.Attr != nil {

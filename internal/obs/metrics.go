@@ -40,19 +40,51 @@ func stripeHint() uint {
 // single-writer cost is one uncontended atomic, and parallel writers (the
 // future parallel chase) spread over stripes instead of bouncing one cache
 // line.
+//
+// A counter made by NewRuleCounter also carries a per-rule breakdown (see
+// rules.go): AddFor bills an event to one rule's cell, or to the counter's
+// own unattributed cells, and Value is the sum of both.
 type Counter struct {
 	name  string
 	cells [stripes]cell
+	rules atomic.Pointer[[]*Counter] // per-rule cells, indexed by ID
 }
 
-// Add increments the counter by n.
+// Add increments the counter by n, unattributed.
 func (c *Counter) Add(n int64) { c.cells[stripeHint()].v.Add(n) }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value returns the current total.
+// AddFor increments the counter by n on behalf of rule id. With
+// attribution off, or id None, the event lands in the unattributed cells:
+// one compare and the same striped add as Add.
+func (c *Counter) AddFor(id ID, n int64) { c.forRule(id).Add(n) }
+
+// forRule returns the cell an event for id lands in.
+func (c *Counter) forRule(id ID) *Counter {
+	if id >= 0 && attrEnabled.Load() {
+		if rs := c.rules.Load(); rs != nil && int(id) < len(*rs) {
+			return (*rs)[id]
+		}
+	}
+	return c
+}
+
+// Value returns the current total: the unattributed cells plus every
+// per-rule cell.
 func (c *Counter) Value() int64 {
+	t := c.Unattributed()
+	if rs := c.rules.Load(); rs != nil {
+		for _, r := range *rs {
+			t += r.Unattributed()
+		}
+	}
+	return t
+}
+
+// Unattributed returns the part of the total not billed to any rule.
+func (c *Counter) Unattributed() int64 {
 	var t int64
 	for i := range c.cells {
 		t += c.cells[i].v.Load()
@@ -63,11 +95,15 @@ func (c *Counter) Value() int64 {
 // Name returns the registered name.
 func (c *Counter) Name() string { return c.name }
 
-// Reset zeroes the counter. Registry.Reset uses it; so do the labeled
-// families of internal/obs/attr, whose cells are unregistered Counters.
+// Reset zeroes the counter, per-rule cells included.
 func (c *Counter) Reset() {
 	for i := range c.cells {
 		c.cells[i].v.Store(0)
+	}
+	if rs := c.rules.Load(); rs != nil {
+		for _, r := range *rs {
+			r.Reset()
+		}
 	}
 }
 
@@ -101,6 +137,10 @@ var LatencyBuckets = []float64{
 // is >= the value, or in the overflow bucket past the last bound. Exact
 // sum, min and max are tracked so snapshots reconcile with
 // stats.Summarize on the raw samples (see stats.FromHistogram).
+//
+// Like Counter, a histogram made by NewRuleHistogram carries a per-rule
+// breakdown: ObserveFor bills a sample to one rule's cell, and Snapshot
+// merges the unattributed cell with every per-rule cell.
 type Histogram struct {
 	name   string
 	bounds []float64
@@ -109,6 +149,7 @@ type Histogram struct {
 	sum    atomicFloat
 	min    atomicFloat
 	max    atomicFloat
+	rules  atomic.Pointer[[]*Histogram] // per-rule cells, indexed by ID
 }
 
 // atomicFloat is a float64 updated by CAS on its bit pattern.
@@ -176,13 +217,38 @@ func (h *Histogram) Since(t Timer) {
 // ObserveDuration records a duration sample in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+// ObserveFor records one sample on behalf of rule id; with attribution off,
+// or id None, it is Observe.
+func (h *Histogram) ObserveFor(id ID, v float64) { h.forRule(id).Observe(v) }
+
+// SinceFor is Since on behalf of rule id.
+func (h *Histogram) SinceFor(id ID, t Timer) { h.forRule(id).Since(t) }
+
+// forRule returns the cell a sample for id lands in.
+func (h *Histogram) forRule(id ID) *Histogram {
+	if id >= 0 && attrEnabled.Load() {
+		if rs := h.rules.Load(); rs != nil && int(id) < len(*rs) {
+			return (*rs)[id]
+		}
+	}
+	return h
+}
+
+// Count returns the number of observations, per-rule cells included.
+func (h *Histogram) Count() int64 {
+	n := h.count.Load()
+	if rs := h.rules.Load(); rs != nil {
+		for _, r := range *rs {
+			n += r.count.Load()
+		}
+	}
+	return n
+}
 
 // Name returns the registered name.
 func (h *Histogram) Name() string { return h.name }
 
-// Reset zeroes the histogram; handles stay valid.
+// Reset zeroes the histogram, per-rule cells included; handles stay valid.
 func (h *Histogram) Reset() {
 	for i := range h.counts {
 		h.counts[i].Store(0)
@@ -191,14 +257,31 @@ func (h *Histogram) Reset() {
 	h.sum.store(0)
 	h.min.store(math.Inf(1))
 	h.max.store(math.Inf(-1))
+	if rs := h.rules.Load(); rs != nil {
+		for _, r := range *rs {
+			r.Reset()
+		}
+	}
 }
 
 // Snapshot captures a consistent-enough view (individual fields are atomic;
 // cross-field skew of in-flight observations is acceptable for reporting).
 // Count is the sum of the bucket counts read, so the exposition's +Inf
 // bucket always equals its _count, however long the reader is preempted
-// while writers keep observing.
+// while writers keep observing. Per-rule cells merge in: buckets, count
+// and sum add up, min and max combine.
 func (h *Histogram) Snapshot() HistogramSnapshot {
+	s := h.Unattributed()
+	if rs := h.rules.Load(); rs != nil {
+		for _, r := range *rs {
+			s.merge(r.Unattributed())
+		}
+	}
+	return s
+}
+
+// Unattributed captures the samples not billed to any rule.
+func (h *Histogram) Unattributed() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds: h.bounds,
 		Counts: make([]int64, len(h.counts)),
@@ -225,6 +308,56 @@ type HistogramSnapshot struct {
 	// entry for observations beyond the last bound.
 	Bounds []float64 `json:"bounds"`
 	Counts []int64   `json:"counts"`
+}
+
+// merge adds o's samples into s; both share one set of bounds.
+func (s *HistogramSnapshot) merge(o HistogramSnapshot) {
+	if o.Count == 0 {
+		return
+	}
+	if s.Count == 0 {
+		s.Min, s.Max = o.Min, o.Max
+	} else {
+		s.Min = math.Min(s.Min, o.Min)
+		s.Max = math.Max(s.Max, o.Max)
+	}
+	for i, c := range o.Counts {
+		s.Counts[i] += c
+	}
+	s.Count += o.Count
+	s.Sum += o.Sum
+}
+
+// Validate checks the shape every reader of a snapshot relies on: one
+// count per bucket plus the overflow bucket, strictly increasing bounds
+// and no negative count. Snapshots loaded from files must pass it before
+// anything computes quantiles from them.
+func (s HistogramSnapshot) Validate() error {
+	if len(s.Counts) != len(s.Bounds)+1 {
+		return fmt.Errorf("%d bucket counts for %d bounds, want %d", len(s.Counts), len(s.Bounds), len(s.Bounds)+1)
+	}
+	for i := 1; i < len(s.Bounds); i++ {
+		if !(s.Bounds[i] > s.Bounds[i-1]) {
+			return fmt.Errorf("bounds not strictly increasing at %d", i)
+		}
+	}
+	for i, c := range s.Counts {
+		if c < 0 {
+			return fmt.Errorf("negative count %d in bucket %d", c, i)
+		}
+	}
+	return nil
+}
+
+// Validate checks every histogram of the snapshot (see
+// HistogramSnapshot.Validate).
+func (s Snapshot) Validate() error {
+	for name, h := range s.Histograms {
+		if err := h.Validate(); err != nil {
+			return fmt.Errorf("histogram %s: %w", name, err)
+		}
+	}
+	return nil
 }
 
 // Summary bridges the histogram to the paper's boxplot statistics: an
@@ -284,11 +417,10 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// NewUnregisteredHistogram returns a standalone histogram attached to no
-// registry (nil bounds mean LatencyBuckets) — the building block for the
-// labeled families of internal/obs/attr, which manage their own key space
-// instead of the registry's flat namespace.
-func NewUnregisteredHistogram(bounds []float64) *Histogram {
+// newHistogram returns a histogram attached to no registry (nil bounds
+// mean LatencyBuckets) — a registry entry, a per-rule cell, or a
+// rule-only family.
+func newHistogram(bounds []float64) *Histogram {
 	if bounds == nil {
 		bounds = LatencyBuckets
 	}
@@ -315,7 +447,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if h, ok := r.histograms[name]; ok {
 		return h
 	}
-	h := NewUnregisteredHistogram(bounds)
+	h := newHistogram(bounds)
 	h.name = name
 	r.histograms[name] = h
 	return h

@@ -1,7 +1,8 @@
 // Package obs is the observability substrate of kbrepair: a lock-cheap
-// metrics registry (counters, gauges, fixed-bucket latency histograms), a
-// structured span/event tracer with pluggable sinks, and pprof/expvar
-// wiring helpers for the CLIs.
+// metrics registry (counters, gauges, fixed-bucket latency histograms,
+// optionally broken down by rule — see rules.go), a structured span/event
+// tracer with pluggable sinks, and pprof/expvar wiring helpers for the
+// CLIs.
 //
 // The package is built for instrumentation of hot paths (the chase loop,
 // the homomorphism search, conflict maintenance), so the design rules are:

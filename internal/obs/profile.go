@@ -1,4 +1,4 @@
-package attr
+package obs
 
 import (
 	"encoding/json"
@@ -7,14 +7,12 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-
-	"kbrepair/internal/obs"
 )
 
-// Well-known family names. The instrumented packages register vecs under
-// these names; the profile builder, the /profilez handler and the
-// Prometheus appender read them back, so — like the obs.Status* gauges —
-// the names are the contract between the recording and reporting layers.
+// Metric names the profile reads back. The homomorphism search records
+// under these names; Rows, the /profilez handler and the rule-labelled
+// Prometheus section read them, so — like the Status* gauges — the names
+// are the contract between the recording and reporting layers.
 const (
 	// FamSearches counts homomorphism plan executions per body.
 	FamSearches = "homo.searches"
@@ -32,33 +30,6 @@ const (
 	// FamSearchSeconds is a latency histogram of search wall time (empty
 	// unless obs timing is enabled alongside attribution).
 	FamSearchSeconds = "homo.search_seconds"
-
-	// FamTriggerChecks counts chase trigger matches per TGD.
-	FamTriggerChecks = "chase.trigger_checks"
-	// FamRuleFirings counts chase firings per TGD.
-	FamRuleFirings = "chase.rule_firings"
-	// FamFactsDerived counts facts added by chase firings per TGD.
-	FamFactsDerived = "chase.facts_derived"
-
-	// FamConflictsFound counts conflicts detected per CDD.
-	FamConflictsFound = "conflict.conflicts_found"
-	// FamPinnedScans counts tracker pinned-plan scans per CDD.
-	FamPinnedScans = "conflict.pinned_scans"
-
-	// FamPiFullChecks counts full Π-repairability consistency checks per
-	// causing CDD, FamPiFastHits the batch fast-path skips.
-	FamPiFullChecks = "core.pi_full_checks"
-	// FamPiFastHits counts Π-repairability fast-path hits per causing CDD.
-	FamPiFastHits = "core.pi_fast_hits"
-	// FamPiCheckSeconds is a latency histogram of Π-check chunk wall time
-	// per causing CDD.
-	FamPiCheckSeconds = "core.pi_check_seconds"
-
-	// FamQuestions counts user questions per causing CDD.
-	FamQuestions = "inquiry.questions"
-	// FamQuestionDelay is a latency histogram of question computation delay
-	// per causing CDD.
-	FamQuestionDelay = "inquiry.question_delay_seconds"
 )
 
 // Row is the per-body line of the plan-quality profile: the homo.* family
@@ -68,7 +39,7 @@ const (
 type Row struct {
 	Body string `json:"body"`
 	// Mode and Order describe the compiled join plan this body ran with
-	// (kernel mode and the chosen atom/variable order). attr cannot import
+	// (kernel mode and the chosen atom/variable order). obs cannot import
 	// internal/homo, so the fields stay empty here and are joined in by the
 	// profile assemblers (exp.BuildProfile, kbdump) from homo.PlanInfoFor.
 	Mode         string  `json:"mode,omitempty"`
@@ -90,7 +61,7 @@ type Row struct {
 // Body ascending. With obs timing off every Seconds is zero and the order
 // falls through to the deterministic node counts, which is what makes the
 // profile byte-identical at any worker count.
-func Rows(s *Snapshot) []Row {
+func Rows(s *RuleSnapshot) []Row {
 	if s == nil {
 		return nil
 	}
@@ -138,15 +109,6 @@ func Rows(s *Snapshot) []Row {
 	return rows
 }
 
-// TopRows returns at most k rows of Rows(s); k <= 0 means all.
-func TopRows(s *Snapshot, k int) []Row {
-	rows := Rows(s)
-	if k > 0 && len(rows) > k {
-		rows = rows[:k]
-	}
-	return rows
-}
-
 // profilezDefaultK bounds the /profilez response when no ?k= is given.
 const profilezDefaultK = 20
 
@@ -164,12 +126,12 @@ func profilezHandler() http.Handler {
 			}
 			k = n
 		}
-		rows := Rows(SnapshotAll())
+		rows := Rows(SnapshotRules())
 		doc := struct {
 			Enabled bool  `json:"enabled"`
 			Bodies  int   `json:"bodies"`
 			Rows    []Row `json:"rows"`
-		}{Enabled: Enabled(), Bodies: len(rows), Rows: rows}
+		}{Enabled: AttrEnabled(), Bodies: len(rows), Rows: rows}
 		if k > 0 && len(doc.Rows) > k {
 			doc.Rows = doc.Rows[:k]
 		}
@@ -183,17 +145,17 @@ func profilezHandler() http.Handler {
 	})
 }
 
-// PromMaxRules caps the per-rule series the Prometheus appender exposes.
+// PromMaxRules caps the per-rule series /metrics exposes.
 // Label cardinality is the classic Prometheus failure mode; fifty bodies
 // ranked by cost cover any plausible dashboard, and the truncation is
 // announced with an explicit gauge rather than silently.
 const PromMaxRules = 50
 
-// writeProm appends the per-rule exposition section to /metrics: for each
+// writeRuleProm writes the per-rule exposition section of /metrics: for each
 // of the top PromMaxRules rows, rule-labeled series for searches, nodes and
 // self-time, plus a truncation gauge when the cap bit.
-func writeProm(w io.Writer) error {
-	rows := Rows(SnapshotAll())
+func writeRuleProm(w io.Writer) error {
+	rows := Rows(SnapshotRules())
 	truncated := 0
 	if len(rows) > PromMaxRules {
 		truncated = len(rows) - PromMaxRules
@@ -222,9 +184,4 @@ func writeProm(w io.Writer) error {
 	}
 	_, err := fmt.Fprintf(w, "# TYPE kbrepair_rule_series_truncated gauge\nkbrepair_rule_series_truncated %d\n", truncated)
 	return err
-}
-
-func init() {
-	obs.RegisterDebugHandler("/profilez", profilezHandler())
-	obs.RegisterPromAppender(writeProm)
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // promPrefix namespaces every exposed metric, per the Prometheus naming
@@ -100,37 +99,14 @@ func formatPromFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// promAppenders are extra exposition sections contributed by packages obs
-// cannot import (same layering as RegisterDebugHandler): internal/obs/attr
-// registers its per-rule series here, so /metrics shows them whenever attr
-// is linked, without obs knowing about rule identities.
-var (
-	promAppendMu  sync.Mutex
-	promAppenders []func(io.Writer) error
-)
-
-// RegisterPromAppender adds a section writer invoked by WriteFullPrometheus
-// (and thus the /metrics handler) after the registry exposition.
-func RegisterPromAppender(fn func(io.Writer) error) {
-	promAppendMu.Lock()
-	defer promAppendMu.Unlock()
-	promAppenders = append(promAppenders, fn)
-}
-
-// WriteFullPrometheus renders the snapshot, every registered appender
-// section and the Go runtime histograms — what the /metrics endpoint
-// serves.
+// WriteFullPrometheus renders the snapshot, the per-rule section and the
+// Go runtime histograms — what the /metrics endpoint serves.
 func WriteFullPrometheus(w io.Writer, s Snapshot) error {
 	if err := WritePrometheus(w, s); err != nil {
 		return err
 	}
-	promAppendMu.Lock()
-	fns := append([]func(io.Writer) error(nil), promAppenders...)
-	promAppendMu.Unlock()
-	for _, fn := range fns {
-		if err := fn(w); err != nil {
-			return err
-		}
+	if err := writeRuleProm(w); err != nil {
+		return err
 	}
 	return writeRuntimeProm(w)
 }

@@ -10,10 +10,12 @@ import (
 	"testing"
 )
 
-// promSample is one parsed exposition line: name, optional le label, value.
+// promSample is one parsed exposition line: name, optional le or rule
+// label, value.
 type promSample struct {
-	le  string
-	val float64
+	le   string
+	rule string
+	val  float64
 }
 
 var promNameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
@@ -51,20 +53,23 @@ func parsePrometheus(t *testing.T, text string) (map[string][]promSample, map[st
 		if err != nil {
 			t.Fatalf("bad value in %q: %v", line, err)
 		}
-		name, le := id, ""
+		name, ps := id, promSample{val: val}
 		if i := strings.IndexByte(id, '{'); i >= 0 {
 			name = id[:i]
 			labels := strings.TrimSuffix(id[i+1:], "}")
-			const pre = `le="`
-			if !strings.HasPrefix(labels, pre) || !strings.HasSuffix(labels, `"`) {
+			switch {
+			case strings.HasPrefix(labels, `le="`) && strings.HasSuffix(labels, `"`):
+				ps.le = strings.TrimSuffix(strings.TrimPrefix(labels, `le="`), `"`)
+			case strings.HasPrefix(labels, `rule="`) && strings.HasSuffix(labels, `"`):
+				ps.rule = strings.TrimSuffix(strings.TrimPrefix(labels, `rule="`), `"`)
+			default:
 				t.Fatalf("unexpected labels in %q", line)
 			}
-			le = strings.TrimSuffix(strings.TrimPrefix(labels, pre), `"`)
 		}
 		if !promNameRe.MatchString(name) {
 			t.Fatalf("invalid metric name %q", name)
 		}
-		samples[name] = append(samples[name], promSample{le: le, val: val})
+		samples[name] = append(samples[name], ps)
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)

@@ -1,67 +1,63 @@
-package attr
+package obs
 
-import (
-	"testing"
-
-	"kbrepair/internal/obs"
-)
+import "testing"
 
 // BenchmarkAttrRecordDisabled measures the cost a non-observed run pays per
-// call site: one atomic bool load. Must report 0 allocs/op.
+// call site: the homomorphism search records against None, which is one
+// compare and the plain striped add. Must report 0 allocs/op.
 func BenchmarkAttrRecordDisabled(b *testing.B) {
-	v := NewCounterVec("bench.disabled_counter")
-	id := Intern("bench.disabled/key")
-	SetEnabled(false)
+	v := NewRuleCounter("bench.disabled_counter")
+	SetAttrEnabled(false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v.Add(id, 1)
+		v.AddFor(None, 1)
 	}
 }
 
 // BenchmarkAttrCounterAdd measures the enabled hot path: atomic slice load,
 // index, striped atomic add. Must report 0 allocs/op.
 func BenchmarkAttrCounterAdd(b *testing.B) {
-	v := NewCounterVec("bench.counter_add")
+	v := NewRuleCounter("bench.counter_add")
 	id := Intern("bench.counter_add/key")
-	prev := Enabled()
-	SetEnabled(true)
-	defer SetEnabled(prev)
+	prev := AttrEnabled()
+	SetAttrEnabled(true)
+	defer SetAttrEnabled(prev)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v.Add(id, 1)
+		v.AddFor(id, 1)
 	}
 }
 
 // BenchmarkAttrCounterAddParallel exercises contended recording on one key
 // — the parallel conflict-scan shape — which the striped cells absorb.
 func BenchmarkAttrCounterAddParallel(b *testing.B) {
-	v := NewCounterVec("bench.counter_parallel")
+	v := NewRuleCounter("bench.counter_parallel")
 	id := Intern("bench.counter_parallel/key")
-	prev := Enabled()
-	SetEnabled(true)
-	defer SetEnabled(prev)
+	prev := AttrEnabled()
+	SetAttrEnabled(true)
+	defer SetAttrEnabled(prev)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			v.Add(id, 1)
+			v.AddFor(id, 1)
 		}
 	})
 }
 
 // BenchmarkAttrHistogramObserve measures the enabled histogram path.
 func BenchmarkAttrHistogramObserve(b *testing.B) {
-	v := NewHistogramVec("bench.hist_observe", SizeBuckets)
+	v := NewRuleHistogram("bench.hist_observe", SizeBuckets)
 	id := Intern("bench.hist_observe/key")
-	prev := Enabled()
-	SetEnabled(true)
-	defer SetEnabled(prev)
+	prev := AttrEnabled()
+	SetAttrEnabled(true)
+	defer SetAttrEnabled(prev)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v.Observe(id, float64(i&1023))
+		v.ObserveFor(id, float64(i&1023))
 	}
 }
 
@@ -69,15 +65,15 @@ func BenchmarkAttrHistogramObserve(b *testing.B) {
 // common production shape: attribution on, clocks off) — the inert timer
 // must short-circuit before any clock read.
 func BenchmarkAttrSince(b *testing.B) {
-	v := NewHistogramVec("bench.hist_since", nil)
+	v := NewRuleHistogram("bench.hist_since", nil)
 	id := Intern("bench.hist_since/key")
-	prev := Enabled()
-	SetEnabled(true)
-	defer SetEnabled(prev)
-	tm := obs.StartTimer() // inert unless obs timing is enabled
+	prev := AttrEnabled()
+	SetAttrEnabled(true)
+	defer SetAttrEnabled(prev)
+	tm := StartTimer() // inert unless obs timing is enabled
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v.Since(id, tm)
+		v.SinceFor(id, tm)
 	}
 }

@@ -1,4 +1,4 @@
-package attr
+package obs
 
 import (
 	"encoding/json"
@@ -8,16 +8,14 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"kbrepair/internal/obs"
 )
 
-// withEnabled runs f with attribution forced on, restoring the prior state.
-func withEnabled(t *testing.T, f func()) {
+// withAttr runs f with attribution forced on, restoring the prior state.
+func withAttr(t *testing.T, f func()) {
 	t.Helper()
-	prev := Enabled()
-	SetEnabled(true)
-	defer SetEnabled(prev)
+	prev := AttrEnabled()
+	SetAttrEnabled(true)
+	defer SetAttrEnabled(prev)
 	f()
 }
 
@@ -30,9 +28,11 @@ func TestInternDenseAndStable(t *testing.T) {
 	if got := Intern("test.intern/a"); got != a {
 		t.Fatalf("re-intern returned %d, want %d", got, a)
 	}
-	keys := Keys()
+	ruleMu.Lock()
+	keys := ruleKeys
+	ruleMu.Unlock()
 	if keys[a] != "test.intern/a" || keys[b] != "test.intern/b" {
-		t.Fatalf("Keys misaligned: %q@%d %q@%d", keys[a], a, keys[b], b)
+		t.Fatalf("keys misaligned: %q@%d %q@%d", keys[a], a, keys[b], b)
 	}
 }
 
@@ -56,52 +56,89 @@ func TestOwnerBinding(t *testing.T) {
 	}
 }
 
-func TestCounterVecRecording(t *testing.T) {
-	v := NewCounterVec("test.counter_recording")
-	id := Intern("test.counter_recording/key")
+// ruleValue reads one per-rule cell of c.
+func ruleValue(c *Counter, id ID) int64 { return (*c.rules.Load())[id].Value() }
 
-	SetEnabled(false)
-	v.Add(id, 5)
-	if got := v.Value(id); got != 0 {
-		t.Fatalf("disabled Add recorded %d", got)
+// TestRuleCounterRecording pins the routing rule: each AddFor lands in
+// exactly one cell — the rule's when attribution is on and the ID is real,
+// the unattributed cell otherwise — and the total is their sum.
+func TestRuleCounterRecording(t *testing.T) {
+	c := NewRuleCounter("test.counter_recording")
+	id := Intern("test.counter_recording/key")
+	ResetRules()
+
+	SetAttrEnabled(false)
+	c.AddFor(id, 5)
+	if got := ruleValue(c, id); got != 0 {
+		t.Fatalf("disabled AddFor billed the rule: %d", got)
 	}
 
-	withEnabled(t, func() {
-		v.Add(id, 5)
-		v.Add(None, 100) // no-op, no panic
-		v.Add(id, 2)
+	withAttr(t, func() {
+		c.AddFor(id, 5)
+		c.AddFor(None, 100)
+		c.AddFor(id, 2)
 	})
-	if got := v.Value(id); got != 7 {
-		t.Fatalf("Value = %d, want 7", got)
+	if got := ruleValue(c, id); got != 7 {
+		t.Fatalf("rule cell = %d, want 7", got)
+	}
+	if got := c.Unattributed(); got != 105 {
+		t.Fatalf("unattributed = %d, want 105", got)
+	}
+	if got := c.Value(); got != 112 {
+		t.Fatalf("total = %d, want 112", got)
+	}
+	if got := Default().Snapshot().Counters["test.counter_recording"]; got != 112 {
+		t.Fatalf("registry total = %d, want 112", got)
+	}
+	NewRuleOnlyCounter("test.counter_rule_only")
+	if _, ok := Default().Snapshot().Counters["test.counter_rule_only"]; ok {
+		t.Fatal("rule-only counter reached the registry")
 	}
 }
 
-func TestHistogramVecRecording(t *testing.T) {
-	v := NewHistogramVec("test.hist_recording", SizeBuckets)
+// TestRuleHistogramMerge: the registry snapshot of a rule histogram merges
+// the unattributed cell with every per-rule cell — buckets, count, sum,
+// min and max.
+func TestRuleHistogramMerge(t *testing.T) {
+	h := NewRuleHistogram("test.hist_recording", SizeBuckets)
 	id := Intern("test.hist_recording/key")
-	withEnabled(t, func() {
-		v.Observe(id, 3)
-		v.Observe(id, 300)
-		v.Observe(None, 1) // no-op
+	ResetRules()
+	withAttr(t, func() {
+		h.ObserveFor(id, 3)
+		h.ObserveFor(id, 300)
+		h.ObserveFor(None, 0.5)
 	})
-	s := SnapshotAll()
+	s := SnapshotRules()
 	i := sort.SearchStrings(s.Keys, "test.hist_recording/key")
-	h := s.Histogram("test.hist_recording", i)
-	if h.Count != 2 || h.Sum != 303 {
-		t.Fatalf("histogram count=%d sum=%v, want 2/303", h.Count, h.Sum)
+	if r := s.Histogram("test.hist_recording", i); r.Count != 2 || r.Sum != 303 {
+		t.Fatalf("rule cell count=%d sum=%v, want 2/303", r.Count, r.Sum)
+	}
+	got := Default().Snapshot().Histograms["test.hist_recording"]
+	if got.Count != 3 || got.Sum != 303.5 || got.Min != 0.5 || got.Max != 300 {
+		t.Fatalf("merged count=%d sum=%v min=%v max=%v, want 3/303.5/0.5/300", got.Count, got.Sum, got.Min, got.Max)
+	}
+	var n int64
+	for _, c := range got.Counts {
+		n += c
+	}
+	if n != 3 || got.Counts[0] != 1 {
+		t.Fatalf("merged buckets %v", got.Counts)
+	}
+	if h.Count() != 3 {
+		t.Fatalf("Count() = %d, want 3", h.Count())
 	}
 }
 
 func TestSnapshotSortedAndAligned(t *testing.T) {
-	v := NewCounterVec("test.snapshot_sorted")
+	v := NewRuleCounter("test.snapshot_sorted")
 	// Intern in an order that is not lexicographic.
 	idB := Intern("test.snapshot_sorted/b")
 	idA := Intern("test.snapshot_sorted/a")
-	withEnabled(t, func() {
-		v.Add(idA, 1)
-		v.Add(idB, 2)
+	withAttr(t, func() {
+		v.AddFor(idA, 1)
+		v.AddFor(idB, 2)
 	})
-	s := SnapshotAll()
+	s := SnapshotRules()
 	if !sort.StringsAreSorted(s.Keys) {
 		t.Fatal("snapshot keys not sorted")
 	}
@@ -121,40 +158,42 @@ func TestSnapshotSortedAndAligned(t *testing.T) {
 }
 
 func TestCaptureNilWhenDisabled(t *testing.T) {
-	SetEnabled(false)
-	if s := Capture(); s != nil {
-		t.Fatal("Capture returned a snapshot while disabled")
+	SetAttrEnabled(false)
+	if s := CaptureRules(); s != nil {
+		t.Fatal("CaptureRules returned a snapshot while disabled")
 	}
-	withEnabled(t, func() {
-		if s := Capture(); s == nil {
-			t.Fatal("Capture returned nil while enabled")
+	withAttr(t, func() {
+		if s := CaptureRules(); s == nil {
+			t.Fatal("CaptureRules returned nil while enabled")
 		}
 	})
 }
 
 func TestResetZeroesCellsKeepsIDs(t *testing.T) {
-	v := NewCounterVec("test.reset")
+	v := NewRuleOnlyCounter("test.reset")
 	id := Intern("test.reset/key")
-	withEnabled(t, func() {
-		v.Add(id, 9)
-		Reset()
-		if got := v.Value(id); got != 0 {
+	withAttr(t, func() {
+		v.AddFor(id, 9)
+		v.AddFor(None, 1)
+		ResetRules()
+		if got := v.Value(); got != 0 {
 			t.Fatalf("post-Reset value = %d", got)
 		}
-		v.Add(id, 4)
+		v.AddFor(id, 4)
 	})
-	if got := v.Value(id); got != 4 {
+	if got := ruleValue(v, id); got != 4 {
 		t.Fatalf("handle dead after Reset: value = %d, want 4", got)
 	}
 }
 
 // TestConcurrentAddVsSnapshot races recorders against Intern and
-// SnapshotAll; under -race this is the memory-safety proof for the
+// SnapshotRules; under -race this is the memory-safety proof for the
 // copy-on-write slices.
 func TestConcurrentAddVsSnapshot(t *testing.T) {
-	v := NewCounterVec("test.race_counter")
-	h := NewHistogramVec("test.race_hist", SizeBuckets)
-	withEnabled(t, func() {
+	v := NewRuleCounter("test.race_counter")
+	h := NewRuleHistogram("test.race_hist", SizeBuckets)
+	ResetRules()
+	withAttr(t, func() {
 		const (
 			writers = 8
 			perW    = 500
@@ -166,8 +205,8 @@ func TestConcurrentAddVsSnapshot(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < perW; i++ {
 					id := Intern(fmt.Sprintf("test.race/%d", i%17))
-					v.Add(id, 1)
-					h.Observe(id, float64(i))
+					v.AddFor(id, 1)
+					h.ObserveFor(id, float64(i))
 				}
 			}(w)
 		}
@@ -175,13 +214,13 @@ func TestConcurrentAddVsSnapshot(t *testing.T) {
 		go func() {
 			defer close(done)
 			for i := 0; i < 50; i++ {
-				SnapshotAll()
+				SnapshotRules()
 			}
 		}()
 		wg.Wait()
 		<-done
 
-		s := SnapshotAll()
+		s := SnapshotRules()
 		var total int64
 		for i := range s.Keys {
 			if strings.HasPrefix(s.Keys[i], "test.race/") {
@@ -197,49 +236,49 @@ func TestConcurrentAddVsSnapshot(t *testing.T) {
 // TestRecordAllocs pins the zero-allocation contract of the hot paths, both
 // gates of it: disabled recording and enabled recording.
 func TestRecordAllocs(t *testing.T) {
-	v := NewCounterVec("test.allocs_counter")
-	h := NewHistogramVec("test.allocs_hist", SizeBuckets)
+	v := NewRuleCounter("test.allocs_counter")
+	h := NewRuleHistogram("test.allocs_hist", SizeBuckets)
 	id := Intern("test.allocs/key")
 
-	SetEnabled(false)
-	if n := testing.AllocsPerRun(100, func() { v.Add(id, 1) }); n != 0 {
-		t.Fatalf("disabled CounterVec.Add allocates %v/op", n)
+	SetAttrEnabled(false)
+	if n := testing.AllocsPerRun(100, func() { v.AddFor(id, 1) }); n != 0 {
+		t.Fatalf("disabled Counter.AddFor allocates %v/op", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { h.Observe(id, 1) }); n != 0 {
-		t.Fatalf("disabled HistogramVec.Observe allocates %v/op", n)
+	if n := testing.AllocsPerRun(100, func() { h.ObserveFor(id, 1) }); n != 0 {
+		t.Fatalf("disabled Histogram.ObserveFor allocates %v/op", n)
 	}
 
-	withEnabled(t, func() {
-		if n := testing.AllocsPerRun(100, func() { v.Add(id, 1) }); n != 0 {
-			t.Fatalf("enabled CounterVec.Add allocates %v/op", n)
+	withAttr(t, func() {
+		if n := testing.AllocsPerRun(100, func() { v.AddFor(id, 1) }); n != 0 {
+			t.Fatalf("enabled Counter.AddFor allocates %v/op", n)
 		}
-		if n := testing.AllocsPerRun(100, func() { h.Observe(id, 1) }); n != 0 {
-			t.Fatalf("enabled HistogramVec.Observe allocates %v/op", n)
+		if n := testing.AllocsPerRun(100, func() { h.ObserveFor(id, 1) }); n != 0 {
+			t.Fatalf("enabled Histogram.ObserveFor allocates %v/op", n)
 		}
 	})
 }
 
 func TestRowsOrderingAndShares(t *testing.T) {
-	searches := NewCounterVec(FamSearches)
-	nodes := NewCounterVec(FamNodes)
-	secs := NewHistogramVec(FamSearchSeconds, nil)
+	searches := NewRuleCounter(FamSearches)
+	nodes := NewRuleCounter(FamNodes)
+	secs := NewRuleOnlyHistogram(FamSearchSeconds, nil)
 	a := Intern("test.rows/a")
 	b := Intern("test.rows/b")
 	c := Intern("test.rows/c")
-	withEnabled(t, func() {
-		Reset()
-		searches.Add(a, 1)
-		nodes.Add(a, 100)
-		secs.Observe(a, 0.25)
-		searches.Add(b, 1)
-		nodes.Add(b, 900)
-		secs.Observe(b, 0.75)
-		searches.Add(c, 1)
-		nodes.Add(c, 50)
+	withAttr(t, func() {
+		ResetRules()
+		searches.AddFor(a, 1)
+		nodes.AddFor(a, 100)
+		secs.ObserveFor(a, 0.25)
+		searches.AddFor(b, 1)
+		nodes.AddFor(b, 900)
+		secs.ObserveFor(b, 0.75)
+		searches.AddFor(c, 1)
+		nodes.AddFor(c, 50)
 		// c has no timing: sorts last even though interned after b.
 	})
 	var rows []Row
-	for _, r := range Rows(SnapshotAll()) {
+	for _, r := range Rows(SnapshotRules()) {
 		if strings.HasPrefix(r.Body, "test.rows/") {
 			rows = append(rows, r)
 		}
@@ -253,19 +292,16 @@ func TestRowsOrderingAndShares(t *testing.T) {
 	if rows[0].TimeShare <= rows[1].TimeShare {
 		t.Fatalf("time shares not ordered: %v vs %v", rows[0].TimeShare, rows[1].TimeShare)
 	}
-	if got := TopRows(SnapshotAll(), 1); len(got) != 1 {
-		t.Fatalf("TopRows(1) returned %d rows", len(got))
-	}
 }
 
 func TestProfilezHandler(t *testing.T) {
-	searches := NewCounterVec(FamSearches)
-	nodes := NewCounterVec(FamNodes)
+	searches := NewRuleCounter(FamSearches)
+	nodes := NewRuleCounter(FamNodes)
 	id := Intern("test.profilez/body")
-	withEnabled(t, func() {
-		Reset()
-		searches.Add(id, 3)
-		nodes.Add(id, 42)
+	withAttr(t, func() {
+		ResetRules()
+		searches.AddFor(id, 3)
+		nodes.AddFor(id, 42)
 	})
 
 	rec := httptest.NewRecorder()
@@ -297,17 +333,17 @@ func TestProfilezHandler(t *testing.T) {
 	}
 }
 
-func TestPromAppender(t *testing.T) {
-	searches := NewCounterVec(FamSearches)
-	nodes := NewCounterVec(FamNodes)
+func TestRulePromSection(t *testing.T) {
+	searches := NewRuleCounter(FamSearches)
+	nodes := NewRuleCounter(FamNodes)
 	id := Intern("test.prom/body")
-	withEnabled(t, func() {
-		Reset()
-		searches.Add(id, 2)
-		nodes.Add(id, 7)
+	withAttr(t, func() {
+		ResetRules()
+		searches.AddFor(id, 2)
+		nodes.AddFor(id, 7)
 	})
 	var b strings.Builder
-	if err := writeProm(&b); err != nil {
+	if err := writeRuleProm(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -317,12 +353,12 @@ func TestPromAppender(t *testing.T) {
 	if !strings.Contains(out, "kbrepair_rule_series_truncated") {
 		t.Fatalf("truncation gauge missing:\n%s", out)
 	}
-	// The appender is registered with obs, so the full exposition carries it.
+	// The full exposition — what /metrics serves — carries the section.
 	var full strings.Builder
-	if err := obs.WriteFullPrometheus(&full, obs.Snapshot{}); err != nil {
+	if err := WriteFullPrometheus(&full, Snapshot{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(full.String(), "kbrepair_rule_searches_total") {
-		t.Fatal("WriteFullPrometheus missing attr section")
+		t.Fatal("WriteFullPrometheus missing the per-rule section")
 	}
 }
