@@ -52,12 +52,13 @@ bench-check-report: BENCH.json
 bench-go:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-smoke compiles and runs each homo/flight/per-rule attribution
-# (BenchmarkAttr*, in internal/obs) benchmark exactly once — a fast CI
-# check that the benchmark suite (the allocation guards included) still
-# builds and executes, without timing anything.
+# bench-smoke compiles and runs each homo, event-ring (BenchmarkRing*)
+# and per-rule attribution (BenchmarkAttr*) benchmark — the last two in
+# internal/obs — exactly once: a fast CI check that the benchmark suite
+# (the allocation guards included) still builds and executes, without
+# timing anything.
 bench-smoke:
-	$(GO) test -bench 'Homo|Flight|Attr' -benchtime=1x ./internal/...
+	$(GO) test -bench 'Homo|Ring|Attr' -benchtime=1x ./internal/...
 
 # bench-workers runs the same workload at -workers 1 and -workers 4 and
 # compares the two reports: the parallel-speedup evidence for the README
@@ -94,13 +95,16 @@ bench-plans-smoke:
 # bundle-smoke exercises the post-mortem pipeline end to end: generate a
 # KB, repair it with an exit debug bundle and a recorded journal, then
 # validate that the bundle parses and renders with kbdump (including the
-# journal header and KB digest sections).
+# journal header and KB digest sections). The run has no -trace, so the
+# required "== Trace ==" section proves the bundle's trace digest comes
+# from the event ring every run keeps.
 bundle-smoke:
 	rm -rf smoke-bundle && mkdir -p smoke-bundle
 	$(GO) run ./cmd/kbgen -facts 120 -ratio 0.2 -cdds 5 -seed 1 -quiet -out smoke-bundle/smoke.kb
 	$(GO) run ./cmd/kbrepair -kb smoke-bundle/smoke.kb -auto -seed 1 \
 		-journal smoke-bundle/journal.json -debug-bundle smoke-bundle/bundle
-	$(GO) run ./cmd/kbdump -metrics smoke-bundle/bundle
+	$(GO) run ./cmd/kbdump -metrics smoke-bundle/bundle > smoke-bundle/report.txt
+	grep -q '^== Trace ==' smoke-bundle/report.txt
 
 # trace-smoke exercises the causal-tracing pipeline end to end: generate a
 # KB, repair it with -trace, then require kbtrace to produce a non-empty

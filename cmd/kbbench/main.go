@@ -27,6 +27,11 @@ import (
 	"kbrepair/internal/par"
 )
 
+// benchRingCapacity is the event-ring size of a -json/-baseline run: room
+// for the spans, begin marks and homomorphism-search events of the
+// benchmarked sessions, so the report's trace section sees every question.
+const benchRingCapacity = 1 << 17
+
 func main() {
 	defer flight.HandlePanic()
 	var (
@@ -56,14 +61,14 @@ func main() {
 	}
 	finish := flight.Setup("kbbench", *flightCfg)
 	benching := *benchJSON != "" || *baseline != ""
-	var benchRing *obs.RingSink
 	if benching {
 		// The report's latency summaries need the opt-in timers on, and its
-		// trace section a span stream of the benchmarked runs — a large ring
-		// teed onto whatever sink -trace may have installed.
+		// trace section the spans of every benchmarked question: unless
+		// -flight-events sized the event ring, grow it to hold them.
 		obs.SetEnabled(true)
-		benchRing = obs.NewRingSink(1 << 17)
-		obs.AddTraceSink(benchRing)
+		if flightCfg.Events == 0 {
+			obs.ResizeRing(benchRingCapacity)
+		}
 	}
 	// The report's profile section and the observability outputs both want
 	// per-rule attribution; plain table runs skip its memory cost.
@@ -80,7 +85,9 @@ func main() {
 		rep := exp.NewBenchReport(label, snap)
 		rep.Profile = exp.BuildProfile(obs.CaptureRules(), snap)
 		exp.WriteProfile(out, rep.Profile)
-		rep.Trace = exp.BuildTraceSummary(benchRing.Records(), benchRing.Total())
+		if ring := obs.CurrentRing(); ring != nil {
+			rep.Trace = exp.BuildTraceSummary(obs.SpanRecords(ring.Events()), ring.Total())
+		}
 		if *plnCheck {
 			runErr = exp.CheckPlans(rep.Profile)
 		}

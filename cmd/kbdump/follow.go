@@ -2,7 +2,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -24,7 +23,7 @@ func normalizeDebugURL(target string) string {
 	return strings.TrimRight(target, "/") + "/debugz"
 }
 
-// runFollow tails the flight recorder of a live process over its /debugz
+// runFollow tails the event ring of a live process over its /debugz
 // endpoint: poll, print the events whose sequence numbers are new since the
 // last poll, repeat. Anomaly events are marked so a watchdog firing stands
 // out of the stream. polls == 0 follows until the process goes away (a
@@ -91,9 +90,9 @@ func fetchBundle(client *http.Client, url string) (*flight.Bundle, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
 	}
-	var b flight.Bundle
-	if err := json.NewDecoder(resp.Body).Decode(&b); err != nil {
+	b, err := flight.DecodeBundle(resp.Body)
+	if err != nil {
 		return nil, fmt.Errorf("decoding bundle: %w", err)
 	}
-	return &b, nil
+	return b, nil
 }

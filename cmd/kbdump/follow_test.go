@@ -3,6 +3,8 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -30,23 +32,24 @@ func TestNormalizeDebugURL(t *testing.T) {
 
 // TestRunFollow polls a live debug mux twice: events recorded before the
 // first poll print once, events recorded between polls print on the second,
-// and anomalies carry the '!' marker.
+// and anomalies carry the '!' marker. A span open at the first poll shows
+// as its begin mark; its close arrives with the second.
 func TestRunFollow(t *testing.T) {
-	t.Cleanup(flight.Disable)
-	flight.Enable(64)
-	flight.Record(flight.KindChaseRoundStart, 1, 10, 0, 0)
-	flight.RecordNote(flight.KindAnomaly, 42, 10, 0, "test_anomaly")
+	t.Cleanup(obs.DisableRing)
+	obs.EnableRing(64)
+	round := obs.Start(obs.KindChaseRound, 0, 1, 10)
+	obs.Point(obs.KindAnomaly, "test_anomaly", 42, 10)
 
 	srv := httptest.NewServer(obs.DebugMux())
 	defer srv.Close()
 
-	// Record one more event after the first poll completes; a second poll
-	// must pick up exactly the new event. The race is benign: the recorder
-	// is appended to between polls, just as in a live process.
+	// Close the round after the first poll completes; a second poll must
+	// pick up exactly the new event. The race is benign: the ring is
+	// appended to between polls, just as in a live process.
 	done := make(chan struct{})
 	go func() {
 		time.Sleep(20 * time.Millisecond)
-		flight.Record(flight.KindChaseRoundEnd, 1, 5, 0, 2)
+		round.End(5, 0, 2)
 		close(done)
 	}()
 
@@ -59,17 +62,43 @@ func TestRunFollow(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"-- following",
-		"chase.round_start",
-		"! #",             // anomaly marker
-		"test_anomaly",    // anomaly name in the payload
-		"chase.round_end", // recorded between polls
+		"open=true",    // the round's begin mark
+		"! #",          // anomaly marker
+		"test_anomaly", // anomaly name in the payload
+		"firings=2",    // the round's close, recorded between polls
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("follow output missing %q:\n%s", want, out)
 		}
 	}
-	if n := strings.Count(out, "chase.round_start"); n != 1 {
-		t.Errorf("event printed %d times, want once:\n%s", n, out)
+	if n := strings.Count(out, "open=true"); n != 1 {
+		t.Errorf("begin mark printed %d times, want once:\n%s", n, out)
+	}
+}
+
+// TestRunFollowRejectsBadBundles: a /debugz document goes through the same
+// checks as a bundle file — a foreign schema version and a malformed
+// histogram are errors, not a stream of nonsense.
+func TestRunFollowRejectsBadBundles(t *testing.T) {
+	metrics := `{"counters": {}, "gauges": {}, "histograms": {}}`
+	for _, tc := range []struct {
+		name, doc, want string
+	}{
+		{"schema", `{"schema_version": 99, "reason": "x", "events": [], "metrics": ` + metrics + `}`, "schema version 99"},
+		{"histogram", `{"schema_version": 1, "reason": "x", "events": [], "metrics": {"counters": {}, "gauges": {},
+			"histograms": {"x.seconds": ` + malformedHist + `}}}`, "x.seconds"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+				fmt.Fprint(w, tc.doc)
+			}))
+			defer srv.Close()
+			var buf bytes.Buffer
+			err := runFollow(bufio.NewWriter(&buf), srv.URL, time.Millisecond, 1)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("runFollow = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -85,8 +114,8 @@ func TestRunFollowUnreachable(t *testing.T) {
 // TestProfileReport runs the -profile report against a bundle captured with
 // attribution on: the table must surface the interned body with its counts.
 func TestProfileReport(t *testing.T) {
-	t.Cleanup(flight.Disable)
-	flight.Enable(16)
+	t.Cleanup(obs.DisableRing)
+	obs.EnableRing(16)
 	prev := obs.AttrEnabled()
 	obs.SetAttrEnabled(true)
 	t.Cleanup(func() {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"kbrepair/internal/obs"
 	"kbrepair/internal/obs/flight"
 )
 
@@ -80,8 +81,8 @@ func TestFixtureBundleDiffSelf(t *testing.T) {
 // checks that the report still renders its runtime and profile-size
 // sections.
 func TestLiveBundleSchedSections(t *testing.T) {
-	flight.Enable(32)
-	defer flight.Disable()
+	obs.EnableRing(32)
+	defer obs.DisableRing()
 	b := flight.Capture("kbdump-test")
 	b.Sections = append(b.Sections, "sched.json")
 	dir := filepath.Join(t.TempDir(), "bundle")
@@ -161,5 +162,30 @@ func TestMalformedProfileHistogram(t *testing.T) {
 	err := run(&buf, dir, false, 0, false, false, true, 0)
 	if err == nil || !strings.Contains(err.Error(), "homo.nodes_per_search") {
 		t.Fatalf("run = %v, want an error naming the histogram", err)
+	}
+}
+
+// TestEventCountsMustAgree reproduces the underflowed eviction count: a
+// manifest claiming fewer recorded events than it retains (or a retained
+// count that disagrees with events.jsonl) is refused, not rendered as
+// "18446744073709551613 evicted by the ring".
+func TestEventCountsMustAgree(t *testing.T) {
+	manifest, err := os.ReadFile(filepath.Join("testdata", "fixture-bundle", "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ from, to, want string }{
+		{`"events_total": 12`, `"events_total": 5`, "events_total 5 is below events_retained 8"},
+		{`"events_retained": 8`, `"events_retained": 9`, "events_retained 9, but 8 events present"},
+	} {
+		if !strings.Contains(string(manifest), tc.from) {
+			t.Fatalf("fixture manifest lacks %s", tc.from)
+		}
+		dir := fixtureWith(t, "manifest.json", strings.Replace(string(manifest), tc.from, tc.to, 1))
+		var buf bytes.Buffer
+		err := run(&buf, dir, true, 0, false, false, false, 0)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run = %v, want an error containing %q", err, tc.want)
+		}
 	}
 }

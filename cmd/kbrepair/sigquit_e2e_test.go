@@ -111,19 +111,30 @@ func TestSIGQUITLeavesParseableBundle(t *testing.T) {
 		t.Errorf("bundle reason = %q, want %q", b.Reason, "signal:quit")
 	}
 	kinds := make(map[string]bool)
+	open := make(map[string]bool)
 	for _, raw := range b.Events {
 		var m struct {
 			Kind string `json:"kind"`
+			Open bool   `json:"open"`
 		}
 		if err := json.Unmarshal(raw, &m); err != nil {
 			t.Fatalf("unparseable event %s: %v", raw, err)
 		}
 		kinds[m.Kind] = true
+		open[m.Kind] = open[m.Kind] || m.Open
 	}
-	for _, want := range []string{"inquiry.session_start", "inquiry.question", "flight.bundle_dump"} {
+	for _, want := range []string{"inquiry.run", "inquiry.question", "flight.bundle_dump"} {
 		if !kinds[want] {
 			t.Errorf("bundle missing %q event; kinds present: %v", want, kinds)
 		}
+	}
+	// The session hung on a question: the bundle must show it pending.
+	if !open["inquiry.question"] || !open["inquiry.user_answer"] {
+		t.Errorf("bundle does not show the pending question open; open kinds: %v", open)
+	}
+	// The trace digest comes from the same ring, -trace or not.
+	if b.Trace == nil {
+		t.Error("bundle of a run without -trace has no trace section")
 	}
 	if len(b.KBDigest) == 0 {
 		t.Error("bundle missing the KB digest section")

@@ -64,6 +64,18 @@ func ruleAttrID(r *logic.TGD) obs.ID {
 // rules it is the guard against non-termination.
 var ErrBudget = errors.New("chase: derivation budget exceeded")
 
+// Exit-status markers, the note of a chase.round span that ended early. A
+// round that completed normally carries none.
+const (
+	// RoundStatusAborted: the ⊥ optimization derived the abort predicate
+	// and stopped the chase inside this round — expected early exit.
+	RoundStatusAborted = "aborted"
+	// RoundStatusBudget: the round or derivation budget was exceeded.
+	RoundStatusBudget = "budget"
+	// RoundStatusError: a firing failed; the chase returned an error.
+	RoundStatusError = "error"
+)
+
 // Derivation records how a derived fact came to be: the rule that fired,
 // the base-store facts its body mapped onto (ids in the chase result store),
 // and which head atom of the rule produced it.
@@ -247,18 +259,13 @@ func run(base *store.Store, tgds []*logic.TGD, opts Options, abortPred string) (
 	mRuns.Inc()
 	tm := obs.StartTimer()
 	defer mRunTime.Since(tm)
-	if obs.Tracing() && !opts.TraceQuiet {
-		sp := obs.StartSpanUnder(opts.TraceParent, "chase.run",
-			obs.Int("base_facts", base.Len()), obs.Int("tgds", len(tgds)))
-		res, err := chaseLoop(base, tgds, opts, abortPred, sp)
-		if res != nil {
-			sp.End(obs.Int("rounds", res.Rounds), obs.Int("derived", len(res.Prov)))
-		} else {
-			sp.End()
-		}
-		return res, err
+	var sp obs.Span
+	if !opts.TraceQuiet {
+		sp = obs.Start(obs.KindChaseRun, opts.TraceParent, base.Len(), len(tgds))
 	}
-	return chaseLoop(base, tgds, opts, abortPred, obs.Span{})
+	res, err := chaseLoop(base, tgds, opts, abortPred, sp)
+	sp.End(res.Rounds, len(res.Prov))
+	return res, err
 }
 
 // chaseLoop is the saturation engine, a sequential restricted-chase
@@ -281,9 +288,10 @@ func run(base *store.Store, tgds []*logic.TGD, opts Options, abortPred string) (
 // fact-for-fact at the same ids, with the same provenance and round
 // structure, modulo the renaming of invented nulls.
 //
-// sp is the enclosing chase.run trace span (inert when tracing is off):
-// each round emits a chase.round child, so a slow chase decomposes
-// round-by-round in the waterfall.
+// sp is the enclosing chase.run span (inert with no ring or -trace file,
+// or under TraceQuiet): each round is a chase.round child, so a slow chase
+// decomposes round-by-round in the waterfall, and a bundle captured
+// mid-round shows the open round.
 func chaseLoop(base *store.Store, tgds []*logic.TGD, opts Options, abortPred string, sp obs.Span) (*Result, error) {
 	res := &Result{
 		Store:   base.Clone(),
@@ -326,14 +334,12 @@ func chaseLoop(base *store.Store, tgds []*logic.TGD, opts Options, abortPred str
 		res.Rounds++
 		mRounds.Inc()
 		gRound.Set(int64(res.Rounds))
-		flight.Record(flight.KindChaseRoundStart, int64(res.Rounds), int64(len(delta)), 0, 0)
+		rsp := sp.Child(obs.KindChaseRound, res.Rounds, len(delta))
 		flight.ObserveChaseRound(res.Rounds, opts.maxRounds())
-		rsp := sp.Child("chase.round")
 		if res.Rounds > opts.maxRounds() {
-			// Balance the just-emitted round-start event: every exit path
-			// owes a round-end, marked with why the round ended early.
-			flight.RecordNote4(flight.KindChaseRoundEnd, int64(res.Rounds), 0, 0, 0, flight.RoundStatusBudget)
-			rsp.End()
+			// Every exit path closes the round, marked with why it ended
+			// early.
+			rsp.EndNote(RoundStatusBudget)
 			return res, fmt.Errorf("%w: more than %d rounds", ErrBudget, opts.maxRounds())
 		}
 		deltaSet := make(map[store.FactID]bool, len(delta))
@@ -348,16 +354,16 @@ func chaseLoop(base *store.Store, tgds []*logic.TGD, opts Options, abortPred str
 		// Every trigger surviving the delta filter in round ≥ 2 involves a
 		// fact from the previous round's delta: it was deferred across the
 		// round-start boundary.
-		var deferred int64
+		var deferred int
 		if !all {
 			for _, ms := range perRule {
-				deferred += int64(len(ms))
+				deferred += len(ms)
 			}
-			mDeferred.Add(deferred)
+			mDeferred.Add(int64(deferred))
 		}
 
 		var newDelta []store.FactID
-		var firings int64
+		var firings int
 		for ri, rule := range tgds {
 			rid := obs.None
 			if len(perRule[ri]) > 0 {
@@ -370,8 +376,7 @@ func chaseLoop(base *store.Store, tgds []*logic.TGD, opts Options, abortPred str
 					continue
 				}
 				if budget-len(res.Prov) < len(rule.Head) {
-					flight.RecordNote4(flight.KindChaseRoundEnd, int64(res.Rounds), int64(len(newDelta)), deferred, firings, flight.RoundStatusBudget)
-					rsp.End()
+					rsp.EndNote(RoundStatusBudget, len(newDelta), deferred, firings)
 					return res, ErrBudget
 				}
 				inst := frontier
@@ -389,8 +394,7 @@ func chaseLoop(base *store.Store, tgds []*logic.TGD, opts Options, abortPred str
 				mNulls.Add(int64(len(exist[ri])))
 				ids, err := s.AddBatch(atoms)
 				if err != nil {
-					flight.RecordNote4(flight.KindChaseRoundEnd, int64(res.Rounds), int64(len(newDelta)), deferred, firings, flight.RoundStatusError)
-					rsp.End()
+					rsp.EndNote(RoundStatusError, len(newDelta), deferred, firings)
 					return res, fmt.Errorf("chase: firing %s: %w", rule, err)
 				}
 				firings++
@@ -399,24 +403,13 @@ func chaseLoop(base *store.Store, tgds []*logic.TGD, opts Options, abortPred str
 					res.Prov[id] = Derivation{Rule: rule, Parents: m.Facts, HeadIdx: i}
 					newDelta = append(newDelta, id)
 					if abortPred != "" && atoms[i].Pred == abortPred {
-						flight.RecordNote4(flight.KindChaseRoundEnd, int64(res.Rounds), int64(len(newDelta)), deferred, firings, flight.RoundStatusAborted)
-						if rsp.Live() {
-							rsp.End(obs.Int("round", res.Rounds),
-								obs.Int("derived", len(newDelta)),
-								obs.Int64("firings", firings),
-								obs.Bool("aborted", true))
-						}
+						rsp.EndNote(RoundStatusAborted, len(newDelta), deferred, firings)
 						return res, nil
 					}
 				}
 			}
 		}
-		flight.Record(flight.KindChaseRoundEnd, int64(res.Rounds), int64(len(newDelta)), deferred, firings)
-		if rsp.Live() {
-			rsp.End(obs.Int("round", res.Rounds),
-				obs.Int("derived", len(newDelta)),
-				obs.Int64("firings", firings))
-		}
+		rsp.End(len(newDelta), deferred, firings)
 		delta = newDelta
 	}
 	return res, nil

@@ -19,7 +19,6 @@ import (
 	"kbrepair/internal/homo"
 	"kbrepair/internal/logic"
 	"kbrepair/internal/obs"
-	"kbrepair/internal/obs/flight"
 	"kbrepair/internal/par"
 	"kbrepair/internal/store"
 )
@@ -177,11 +176,7 @@ func AllNaiveUnder(parent uint64, base *store.Store, cdds []*logic.CDD) []*Confl
 	mScans.Inc()
 	tm := obs.StartTimer()
 	defer mDetectTime.Since(tm)
-	var sp obs.Span
-	if obs.Tracing() {
-		sp = obs.StartSpanUnder(parent, "conflict.scan",
-			obs.Int("cdds", len(cdds)), obs.Bool("naive", true))
-	}
+	sp := obs.Start(obs.KindConflictScan, parent, len(cdds), obs.Bit(true))
 	// Resolve every CDD's plan before the fan-out: first compiles bind the
 	// join order from store statistics, and binding must happen at this
 	// sequential point, not under whichever worker misses the cache first.
@@ -197,10 +192,7 @@ func AllNaiveUnder(parent uint64, base *store.Store, cdds []*logic.CDD) []*Confl
 	for _, cs := range perCDD {
 		out = append(out, cs...)
 	}
-	flight.Record(flight.KindConflictScan, int64(len(cdds)), int64(len(out)), 0, 0)
-	if sp.Live() {
-		sp.End(obs.Int("conflicts", len(out)))
-	}
+	sp.End(len(out))
 	return out
 }
 
@@ -259,9 +251,8 @@ func All(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts chase.Opt
 	// then re-parented under the scan, so the waterfall shows
 	// question → conflict.scan → chase.run → chase.round.
 	var sp obs.Span
-	if obs.Tracing() && !opts.TraceQuiet {
-		sp = obs.StartSpanUnder(opts.TraceParent, "conflict.scan",
-			obs.Int("cdds", len(cdds)), obs.Bool("naive", false))
+	if !opts.TraceQuiet {
+		sp = obs.Start(obs.KindConflictScan, opts.TraceParent, len(cdds), obs.Bit(false))
 		opts.TraceParent = sp.ID()
 	}
 	tgds = chase.RelevantTGDs(tgds, cdds)
@@ -286,10 +277,7 @@ func All(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts chase.Opt
 	for _, cs := range perCDD {
 		out = append(out, cs...)
 	}
-	flight.Record(flight.KindConflictScan, int64(len(cdds)), int64(len(out)), 1, 0)
-	if sp.Live() {
-		sp.End(obs.Int("conflicts", len(out)))
-	}
+	sp.End(len(out))
 	return out, res, nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"kbrepair/internal/homo"
 	"kbrepair/internal/logic"
 	"kbrepair/internal/obs"
-	"kbrepair/internal/obs/flight"
 	"kbrepair/internal/par"
 	"kbrepair/internal/store"
 )
@@ -163,16 +162,13 @@ func (t *Tracker) UpdateUnder(parent uint64, id store.FactID) {
 	mUpdates.Inc()
 	tm := obs.StartTimer()
 	defer mUpdateTime.Since(tm)
-	var sp obs.Span
-	if obs.Tracing() {
-		sp = obs.StartSpanUnder(parent, "conflict.tracker_update", obs.Int("fact", int(id)))
-	}
-	removed := int64(len(t.byFact[id]))
+	sp := obs.Start(obs.KindTrackerUpdate, parent, int(id))
+	removed := len(t.byFact[id])
 	for k := range t.byFact[id] {
 		t.remove(k)
 	}
 	atom := t.base.FactRef(id)
-	var added int64
+	var added int
 	for _, ci := range t.byPred[atom.Pred] {
 		cdd := t.cdds[ci]
 		for ai, ba := range cdd.Body {
@@ -188,21 +184,18 @@ func (t *Tracker) UpdateUnder(parent uint64, id store.FactID) {
 			added += t.addPinned(id, ci, ai, seed)
 		}
 	}
-	flight.Record(flight.KindTrackerUpdate, int64(id), removed, added, 0)
-	if sp.Live() {
-		sp.End(obs.Int64("removed", removed), obs.Int64("added", added))
-	}
+	sp.End(removed, added)
 }
 
 // addPinned runs the pinned-seed homomorphism search of CDD ci with body
 // atom ai mapped onto fact id, adds every conflict it witnesses and
 // returns how many it found.
-func (t *Tracker) addPinned(id store.FactID, ci, ai int, seed logic.Subst) int64 {
+func (t *Tracker) addPinned(id store.FactID, ci, ai int, seed logic.Subst) int {
 	cdd := t.cdds[ci]
 	if obs.AttrEnabled() {
 		attrPinned.AddFor(AttrID(cdd), 1)
 	}
-	var found int64
+	var found int
 	t.pinPlans[ci][ai].ForEachSeeded(t.base, seed, func(m homo.Match) bool {
 		facts := make([]store.FactID, 0, len(cdd.Body))
 		ri := 0

@@ -7,7 +7,6 @@ import (
 	"kbrepair/internal/chase"
 	"kbrepair/internal/logic"
 	"kbrepair/internal/obs"
-	"kbrepair/internal/obs/flight"
 	"kbrepair/internal/par"
 	"kbrepair/internal/store"
 )
@@ -195,20 +194,11 @@ func (pc *PiChecker) CheckBatch(pi Pi, fixes []Fix) ([]bool, error) {
 	// One span covers the whole batch: the full checks run inside worker
 	// goroutines with their chases silenced (TraceQuiet), so Π time is
 	// attributed here, at batch granularity, deterministically.
-	var sp obs.Span
-	if obs.Tracing() {
-		sp = obs.StartSpanUnder(pc.traceParent.Load(), "core.pi_batch",
-			obs.Int("batch", len(fixes)))
-	}
+	sp := obs.Start(obs.KindPiBatch, pc.traceParent.Load(), len(fixes))
 	cause := obs.ID(pc.cause.Load())
 	defer func() {
 		mPiFast.AddFor(cause, fastHits)
-		flight.Record(flight.KindPiBatch, fastHits, int64(len(full)), accepted, 0)
-		if sp.Live() {
-			sp.End(obs.Int64("fast_hits", fastHits),
-				obs.Int("full_checks", len(full)),
-				obs.Int64("accepted", accepted))
-		}
+		sp.End(int(fastHits), len(full), int(accepted))
 	}()
 	for i, f := range fixes {
 		if pc.Optimized && pc.fastSafe(pi, f) {

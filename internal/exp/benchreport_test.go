@@ -158,19 +158,21 @@ func TestBenchReportJSONShape(t *testing.T) {
 // over all questions, shares (including the unattributed remainder) summing
 // to one, components sorted by share.
 func TestBuildTraceSummary(t *testing.T) {
-	ring := obs.NewRingSink(64)
-	tr := obs.NewTracer(ring)
+	ring := obs.EnableRing(64)
+	t.Cleanup(obs.DisableRing)
+	tr := obs.DefaultTracer()
 	clock := time.UnixMicro(1_700_000_000_000_000).UTC()
 	tr.SetNow(func() time.Time { clock = clock.Add(time.Millisecond); return clock })
-	root := tr.StartSpan("inquiry.run")
+	t.Cleanup(func() { tr.SetNow(nil) })
+	root := obs.StartNote(obs.KindInquiryRun, 0, "random")
 	for i := 1; i <= 3; i++ {
-		q := root.Child("inquiry.question", obs.Int("q", i), obs.Int("phase", 1))
-		q.Child("inquiry.sound_question").End()
+		q := root.Child(obs.KindQuestion, i, 1)
+		q.Child(obs.KindSoundQuestion).End()
 		q.End()
 	}
 	root.End()
 
-	s := BuildTraceSummary(ring.Records(), ring.Total())
+	s := BuildTraceSummary(obs.SpanRecords(ring.Events()), ring.Total())
 	if s == nil || s.Questions != 3 {
 		t.Fatalf("summary = %+v, want 3 questions", s)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"kbrepair/internal/logic"
 	"kbrepair/internal/obs"
-	"kbrepair/internal/obs/flight"
 	"kbrepair/internal/store"
 )
 
@@ -518,7 +517,7 @@ func (p *Plan) search(s *store.Store, seed logic.Subst, fn func(Match) bool) boo
 			}
 			fn(Match{Subst: sub, Facts: nil})
 		}
-		flight.Record(flight.KindHomoSearch, 0, 0, 0, 1)
+		obs.Point(obs.KindHomoSearch, "", 0, 0, 0, 1)
 		mTime.Since(tm)
 		if obs.AttrEnabled() {
 			attrMatches.AddFor(p.aid, 1)
@@ -539,7 +538,7 @@ func (p *Plan) search(s *store.Store, seed logic.Subst, fn func(Match) bool) boo
 	matched := e.matched || e.matches > 0
 	mNodes.AddFor(p.aid, e.nodes)
 	mProbes.AddFor(p.aid, e.probes)
-	flight.Record(flight.KindHomoSearch, int64(len(p.atoms)), e.nodes, e.probes, e.matches)
+	obs.Point(obs.KindHomoSearch, "", len(p.atoms), int(e.nodes), int(e.probes), int(e.matches))
 	mTime.Since(tm)
 	if obs.AttrEnabled() {
 		attrMatches.AddFor(p.aid, e.matches)

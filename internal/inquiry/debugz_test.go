@@ -13,11 +13,13 @@ import (
 
 // TestDebugzDuringRepair scrapes /debugz from inside the user callback —
 // mid-question, the moment a stuck session would be probed — and asserts
-// the served bundle carries the flight events of the session so far, the
-// provider-supplied KB digest and the journal-so-far.
+// the served bundle carries the ring events of the session so far, the
+// pending question (the open question and user_answer spans with their
+// phase, fixes, conflicts and delay), the provider-supplied KB digest and
+// the journal-so-far.
 func TestDebugzDuringRepair(t *testing.T) {
-	flight.Enable(1024)
-	t.Cleanup(flight.Disable)
+	obs.EnableRing(1024)
+	t.Cleanup(obs.DisableRing)
 	srv := httptest.NewServer(obs.DebugMux())
 	defer srv.Close()
 
@@ -31,8 +33,10 @@ func TestDebugzDuringRepair(t *testing.T) {
 	t.Cleanup(func() { flight.SetJournalProvider(nil) })
 
 	var mid *flight.Bundle
+	var pending Question
 	user := FuncUser(func(kb *core.KB, q Question) (core.Fix, error) {
 		if mid == nil {
+			pending = q
 			resp, err := http.Get(srv.URL + "/debugz?reason=test")
 			if err != nil {
 				t.Errorf("GET /debugz: %v", err)
@@ -64,20 +68,40 @@ func TestDebugzDuringRepair(t *testing.T) {
 	if mid.Reason != "http:test" {
 		t.Errorf("bundle reason = %q, want http:test", mid.Reason)
 	}
+	type event struct {
+		Kind      string `json:"kind"`
+		Span      uint64 `json:"span"`
+		Parent    uint64 `json:"parent"`
+		Open      bool   `json:"open"`
+		Q         int    `json:"q"`
+		Phase     int    `json:"phase"`
+		Conflicts int    `json:"conflicts"`
+		Fixes     int    `json:"fixes"`
+		DelayUS   *int64 `json:"delay_us"`
+	}
 	kinds := make(map[string]int)
+	open := make(map[string]event)
 	for _, raw := range mid.Events {
-		var ev struct {
-			Kind string `json:"kind"`
-		}
+		var ev event
 		if err := json.Unmarshal(raw, &ev); err != nil {
 			t.Fatalf("bundle event is not JSON: %v\n%s", err, raw)
 		}
 		kinds[ev.Kind]++
+		if ev.Open {
+			open[ev.Kind] = ev
+		}
 	}
-	for _, want := range []string{"inquiry.session_start", "inquiry.question", "conflict.scan"} {
+	for _, want := range []string{"inquiry.run", "inquiry.question", "inquiry.user_answer", "conflict.scan"} {
 		if kinds[want] == 0 {
 			t.Errorf("mid-repair bundle has no %s event (kinds: %v)", want, kinds)
 		}
+	}
+	q, ua := open["inquiry.question"], open["inquiry.user_answer"]
+	if q.Span == 0 || q.Q != 1 || q.Phase != pending.Phase || q.Conflicts < 1 {
+		t.Errorf("pending question span = %+v, want q 1, phase %d, conflicts > 0", q, pending.Phase)
+	}
+	if ua.Parent != q.Span || ua.Fixes != len(pending.Fixes) || ua.DelayUS == nil || *ua.DelayUS < 0 {
+		t.Errorf("pending user_answer span = %+v, want under span %d with %d fixes and a delay", ua, q.Span, len(pending.Fixes))
 	}
 	var d core.Digest
 	if err := json.Unmarshal(mid.KBDigest, &d); err != nil {

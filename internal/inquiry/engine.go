@@ -226,7 +226,7 @@ var ErrUnanswerable = errors.New("inquiry: no sound question for a live conflict
 // positions step selects, presents it to the user, applies the chosen fix
 // and updates Π. It returns the offered positions and the round record.
 //
-// qsp is this question's trace span (inert when tracing is off); ask hangs
+// qsp is this question's span (inert with no ring or -trace file); ask hangs
 // its phases under it — inquiry.sound_question for position selection
 // plus SOUNDQUESTION (whose Π-batches parent themselves under it via the
 // checker's trace parent), inquiry.user_answer for the time the
@@ -240,7 +240,7 @@ func (e *Engine) ask(cs []*conflict.Conflict, x *conflict.Conflict, phase int, q
 	// itself — to the CDD whose conflict is being resolved.
 	qid := conflict.AttrID(x.CDD)
 	e.pc.SetCause(qid)
-	ssp := qsp.Child("inquiry.sound_question")
+	ssp := qsp.Child(obs.KindSoundQuestion)
 	e.pc.SetTraceParent(ssp.ID())
 	positions := positionsStep()
 	fixes, err := SoundQuestion(e.KB, e.pc, e.Pi, positions, e.Opts.MaxValuesPerPosition)
@@ -264,12 +264,10 @@ func (e *Engine) ask(cs []*conflict.Conflict, x *conflict.Conflict, phase int, q
 		ssp.End()
 		return nil, Round{}, fmt.Errorf("%w: conflict %s", ErrUnanswerable, x)
 	}
-	if ssp.Live() {
-		ssp.End(obs.Int("positions", len(positions)), obs.Int("fixes", len(fixes)))
-	}
+	ssp.End(len(positions), len(fixes))
 	q := Question{Conflict: x, Fixes: fixes, Phase: phase}
 	// Measured on the tracer clock: the value lands in the question span's
-	// delay_us attribute, which must be deterministic under an injected clock.
+	// delay_us field, which must be deterministic under an injected clock.
 	delay := obs.Now().Sub(t0)
 	mQuestions.AddFor(qid, 1)
 	gAsked.Add(1)
@@ -279,15 +277,16 @@ func (e *Engine) ask(cs []*conflict.Conflict, x *conflict.Conflict, phase int, q
 	} else {
 		mPhase2.Inc()
 	}
-	flight.Record(flight.KindQuestion, int64(phase), int64(len(fixes)), int64(len(cs)), delay.Microseconds())
 	flight.ObserveQuestion(phase, len(cs), delay)
-	usp := qsp.Child("inquiry.user_answer")
+	// While the user holds the question, the open user_answer span's begin
+	// mark is the pending question in a bundle: its fixes and delay here,
+	// its index, phase and conflicts on the enclosing question span.
+	usp := qsp.Child(obs.KindUserAnswer, len(fixes), int(delay.Microseconds()))
 	f, err := e.User.Choose(e.KB, q)
+	usp.End()
 	if err != nil {
-		usp.End()
 		return nil, Round{}, fmt.Errorf("user failed on question with %d fixes: %w", len(fixes), err)
 	}
-	usp.End()
 	if !q.Contains(f) {
 		return nil, Round{}, fmt.Errorf("user chose %s, which is not in the question", f)
 	}
@@ -306,40 +305,34 @@ func (e *Engine) ask(cs []*conflict.Conflict, x *conflict.Conflict, phase int, q
 	}, nil
 }
 
-// endQuestion closes a question span with the round's summary attributes.
-// The components hung under the span plus its unattributed remainder sum
-// to its duration by construction (children are closed before the parent,
+// endQuestion closes a question span with the round's fixes and delay. The
+// components hung under the span plus its unattributed remainder sum to
+// its duration by construction (children are closed before the parent,
 // all on this goroutine).
-func endQuestion(qsp obs.Span, qIdx int, rd Round) {
-	if !qsp.Live() {
-		return
-	}
-	qsp.End(obs.Int("q", qIdx),
-		obs.Int("phase", rd.Phase),
-		obs.Int("conflicts", rd.ConflictsBefore),
-		obs.Int("fixes", rd.QuestionSize),
-		obs.Int64("delay_us", rd.Delay.Microseconds()))
+func endQuestion(qsp obs.Span, rd Round) {
+	qsp.End(rd.QuestionSize, int(rd.Delay.Microseconds()))
 }
 
-// recordAnswer flight-records a chosen fix. The value is only stringified
-// when a recorder is active: the disabled path must not allocate.
+// recordAnswer records a chosen fix as a point event. The value is only
+// stringified when the ring is on: the disabled path must not allocate.
 func recordAnswer(f core.Fix) {
-	if !flight.Active() {
+	if obs.CurrentRing() == nil {
 		return
 	}
-	var isNull int64
-	if f.Value.IsNull() {
-		isNull = 1
-	}
-	flight.RecordNote(flight.KindAnswer, int64(f.Pos.Fact), int64(f.Pos.Arg), isNull, f.Value.String())
+	obs.Point(obs.KindAnswer, f.Value.String(), int(f.Pos.Fact), f.Pos.Arg, obs.Bit(f.Value.IsNull()))
 }
 
-// sessionStart resets the anomaly watchdogs and flight-records the opening
-// state of an inquiry session.
-func sessionStart(strategy string, facts, naive, total int) {
-	flight.SessionBegin()
-	if flight.Active() {
-		flight.RecordNote(flight.KindSessionStart, int64(facts), int64(naive), int64(total), strategy)
+// startRun opens the root span of an inquiry session; everything the run
+// does hangs under it. The returned end closes it exactly once — eagerly
+// with the summary on success, or from a deferred call on error paths.
+func (e *Engine) startRun(strategy string) (obs.Span, func(vals ...int)) {
+	sp := obs.StartNote(obs.KindInquiryRun, 0, strategy, e.KB.Facts.Len())
+	done := false
+	return sp, func(vals ...int) {
+		if !done {
+			done = true
+			sp.End(vals...)
+		}
 	}
 }
 
@@ -356,24 +349,10 @@ func (e *Engine) Run() (*Result, error) {
 	start := time.Now()
 	res := &Result{Strategy: e.Strategy.Name(), InitialTotal: -1}
 
-	// One root span per run; everything the run does hangs under it. Ended
-	// exactly once — eagerly with summary attributes on success, by the
-	// deferred call on error paths.
-	var rootSp obs.Span
-	if obs.Tracing() {
-		rootSp = obs.StartSpan("inquiry.run",
-			obs.Str("strategy", res.Strategy), obs.Int("facts", e.KB.Facts.Len()))
-	}
-	rootDone := false
-	endRoot := func(extra ...obs.Attr) {
-		if !rootDone {
-			rootDone = true
-			rootSp.End(extra...)
-		}
-	}
+	rootSp, endRoot := e.startRun(res.Strategy)
 	defer endRoot()
 
-	initSp := rootSp.Child("inquiry.init")
+	initSp := rootSp.Child(obs.KindInquiryInit)
 	tracker := conflict.NewTrackerUnder(initSp.ID(), e.KB.Facts, e.KB.CDDs)
 	res.InitialNaive = tracker.Len()
 	if initial, _, err := e.KB.AllConflictsUnder(initSp.ID()); err == nil {
@@ -382,10 +361,8 @@ func (e *Engine) Run() (*Result, error) {
 		initSp.End()
 		return nil, err
 	}
-	if initSp.Live() {
-		initSp.End(obs.Int("naive", res.InitialNaive), obs.Int("total", res.InitialTotal))
-	}
-	sessionStart(res.Strategy, e.KB.Facts.Len(), res.InitialNaive, res.InitialTotal)
+	initSp.End(res.InitialNaive, res.InitialTotal)
+	flight.SessionBegin()
 
 	record := func(rd Round, f core.Fix, parent uint64) error {
 		if e.Opts.TrackConflictSeries {
@@ -407,8 +384,8 @@ func (e *Engine) Run() (*Result, error) {
 	for tracker.Len() > 0 {
 		cs := tracker.Conflicts()
 		statusRound(1, len(cs), len(res.Rounds))
-		qsp := rootSp.Child("inquiry.question")
-		psp := qsp.Child("inquiry.pick_conflict")
+		qsp := rootSp.Child(obs.KindQuestion, len(res.Rounds)+1, 1, len(cs))
+		psp := qsp.Child(obs.KindPickConflict)
 		x := e.Strategy.PickConflict(e, cs)
 		psp.End()
 		offered, rd, err := e.ask(cs, x, 1, qsp, func() []core.Position { return e.Strategy.Positions(e, cs, x) })
@@ -426,7 +403,7 @@ func (e *Engine) Run() (*Result, error) {
 			qsp.End()
 			return res, err
 		}
-		endQuestion(qsp, len(res.Rounds), rd)
+		endQuestion(qsp, rd)
 	}
 
 	// Phase two: conflicts that only appear through the chase. Without
@@ -443,8 +420,8 @@ func (e *Engine) Run() (*Result, error) {
 	}
 	for len(cs) > 0 {
 		statusRound(2, len(cs), len(res.Rounds))
-		qsp := rootSp.Child("inquiry.question")
-		psp := qsp.Child("inquiry.pick_conflict")
+		qsp := rootSp.Child(obs.KindQuestion, len(res.Rounds)+1, 2, len(cs))
+		psp := qsp.Child(obs.KindPickConflict)
 		x := e.Strategy.PickConflict(e, cs)
 		psp.End()
 		offered, rd, err := e.ask(cs, x, 2, qsp, func() []core.Position { return e.Strategy.Positions(e, cs, x) })
@@ -462,25 +439,23 @@ func (e *Engine) Run() (*Result, error) {
 			qsp.End()
 			return res, err
 		}
-		endQuestion(qsp, len(res.Rounds), rd)
+		endQuestion(qsp, rd)
 		cs = after
 	}
 
-	fsp := rootSp.Child("inquiry.final_check")
+	fsp := rootSp.Child(obs.KindFinalCheck)
 	ok, err := e.KB.IsConsistentUnder(fsp.ID())
 	if err != nil {
 		fsp.End()
 		return res, err
 	}
-	if fsp.Live() {
-		fsp.End(obs.Bool("consistent", ok))
-	}
+	fsp.End(obs.Bit(ok))
 	statusEnd(0)
 	res.Consistent = ok
 	res.Questions = len(res.Rounds)
 	res.Duration = time.Since(start)
 	res.FastHits, res.FullChecks = e.pc.FastHits, e.pc.FullChecks
-	endRoot(obs.Int("questions", res.Questions), obs.Bool("consistent", ok))
+	endRoot(res.Questions, obs.Bit(ok))
 	return res, nil
 }
 
@@ -499,21 +474,10 @@ func (e *Engine) RunBasic() (*Result, error) {
 	start := time.Now()
 	res := &Result{Strategy: "basic"}
 
-	var rootSp obs.Span
-	if obs.Tracing() {
-		rootSp = obs.StartSpan("inquiry.run",
-			obs.Str("strategy", res.Strategy), obs.Int("facts", e.KB.Facts.Len()))
-	}
-	rootDone := false
-	endRoot := func(extra ...obs.Attr) {
-		if !rootDone {
-			rootDone = true
-			rootSp.End(extra...)
-		}
-	}
+	rootSp, endRoot := e.startRun(res.Strategy)
 	defer endRoot()
 
-	initSp := rootSp.Child("inquiry.init")
+	initSp := rootSp.Child(obs.KindInquiryInit)
 	res.InitialNaive = len(conflict.AllNaiveUnder(initSp.ID(), e.KB.Facts, e.KB.CDDs))
 	if initial, _, err := e.KB.AllConflictsUnder(initSp.ID()); err == nil {
 		res.InitialTotal = len(initial)
@@ -521,10 +485,8 @@ func (e *Engine) RunBasic() (*Result, error) {
 		initSp.End()
 		return nil, err
 	}
-	if initSp.Live() {
-		initSp.End(obs.Int("naive", res.InitialNaive), obs.Int("total", res.InitialTotal))
-	}
-	sessionStart(res.Strategy, e.KB.Facts.Len(), res.InitialNaive, res.InitialTotal)
+	initSp.End(res.InitialNaive, res.InitialTotal)
+	flight.SessionBegin()
 
 	// As in Run's phase two, each iteration ends with the re-scan the next
 	// iteration needs, attributed to the question just answered; only the
@@ -535,8 +497,8 @@ func (e *Engine) RunBasic() (*Result, error) {
 	}
 	for len(cs) > 0 {
 		statusRound(1, len(cs), len(res.Rounds))
-		qsp := rootSp.Child("inquiry.question")
-		psp := qsp.Child("inquiry.pick_conflict")
+		qsp := rootSp.Child(obs.KindQuestion, len(res.Rounds)+1, 1, len(cs))
+		psp := qsp.Child(obs.KindPickConflict)
 		x := pickRandom(cs, e.Rng)
 		psp.End()
 		_, rd, err := e.ask(cs, x, 1, qsp, func() []core.Position { return x.Positions(e.KB.Facts) })
@@ -555,23 +517,21 @@ func (e *Engine) RunBasic() (*Result, error) {
 			qsp.End()
 			return res, err
 		}
-		endQuestion(qsp, len(res.Rounds), rd)
+		endQuestion(qsp, rd)
 		cs = after
 	}
-	fsp := rootSp.Child("inquiry.final_check")
+	fsp := rootSp.Child(obs.KindFinalCheck)
 	ok, err := e.KB.IsConsistentUnder(fsp.ID())
 	if err != nil {
 		fsp.End()
 		return res, err
 	}
-	if fsp.Live() {
-		fsp.End(obs.Bool("consistent", ok))
-	}
+	fsp.End(obs.Bit(ok))
 	statusEnd(0)
 	res.Consistent = ok
 	res.Questions = len(res.Rounds)
 	res.Duration = time.Since(start)
 	res.FastHits, res.FullChecks = e.pc.FastHits, e.pc.FullChecks
-	endRoot(obs.Int("questions", res.Questions), obs.Bool("consistent", ok))
+	endRoot(res.Questions, obs.Bit(ok))
 	return res, nil
 }

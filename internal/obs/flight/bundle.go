@@ -87,9 +87,10 @@ type Bundle struct {
 	// attribution was enabled at capture time (additive section, so the
 	// schema version is unchanged).
 	Attr *obs.RuleSnapshot `json:"attr,omitempty"`
-	// Trace is the question-latency digest of the process-wide trace ring:
-	// the slowest recent questions with their waterfall decompositions.
-	// Present only when tracing was on at capture time (additive section).
+	// Trace is the question-latency digest of the closed spans in the
+	// event ring: the slowest recent questions with their waterfall
+	// decompositions. Present whenever the ring was on at capture time
+	// (additive section).
 	Trace *traceview.Digest `json:"trace,omitempty"`
 	// Runtime is a fresh runtime/metrics reading (goroutines, heap
 	// live/goal, GC pause and scheduling-latency quantiles) taken at
@@ -171,14 +172,14 @@ func marshalSection(fn func() any) json.RawMessage {
 	return data
 }
 
-// Capture assembles a bundle from the current process state: the flight
-// ring (empty if the recorder is disabled), a metrics snapshot of the
-// default registry, all goroutine stacks, the environment stamp and the
-// provider-supplied KB digest and inquiry journal. It also records a
-// KindBundleDump event so later bundles show this capture in their
-// timeline.
+// Capture assembles a bundle from the current process state: the event
+// ring and its trace digest (both absent if the ring is disabled), a
+// metrics snapshot of the default registry, all goroutine stacks, the
+// environment stamp and the provider-supplied KB digest and inquiry
+// journal. It also records a flight.bundle_dump event so later bundles
+// show this capture in their timeline.
 func Capture(reason string) *Bundle {
-	RecordNote(KindBundleDump, 0, 0, 0, reason)
+	obs.Point(obs.KindBundleDump, reason)
 	providerMu.Lock()
 	digFn, jrnFn, plnFn, cmd := digestProvider, journalProvider, plansProvider, bundleCmd
 	providerMu.Unlock()
@@ -198,20 +199,22 @@ func Capture(reason string) *Bundle {
 		Journal:      marshalSection(jrnFn),
 		Plans:        marshalSection(plnFn),
 		Attr:         obs.CaptureRules(),
-		Trace:        captureTrace(),
 		Runtime:      obs.ReadRuntime(),
 		HeapProfile:  profileText("heap"),
 		MutexProfile: profileText("mutex"),
 		BlockProfile: profileText("block"),
 	}
-	if r := Current(); r != nil {
+	if r := obs.CurrentRing(); r != nil {
+		// Events before Total: the total then counts at least every
+		// retained event, however many writers race the capture.
 		events := r.Events()
 		b.EventsTotal = r.Total()
 		b.EventsRetained = len(events)
 		b.Events = make([]json.RawMessage, len(events))
 		for i, e := range events {
-			b.Events[i] = json.RawMessage(e.JSON())
+			b.Events[i] = e.AppendJSON(nil, r.BaseUS())
 		}
+		b.Trace = traceview.BuildDigest(obs.SpanRecords(events), b.EventsTotal, BundleTraceQuestions)
 	}
 	b.Sections = b.sections()
 	return b
@@ -268,17 +271,6 @@ func profileText(name string) string {
 // trace section retains.
 const BundleTraceQuestions = 10
 
-// captureTrace digests the process-wide trace ring, or returns nil when no
-// ring is installed (tracing off). The ring is internally synchronized, so
-// this is safe from the signal-handler goroutine like the other sections.
-func captureTrace() *traceview.Digest {
-	ring := obs.TraceRing()
-	if ring == nil {
-		return nil
-	}
-	return traceview.BuildDigest(ring.Records(), ring.Total(), BundleTraceQuestions)
-}
-
 // allStacks returns the stacks of every goroutine, growing the buffer until
 // the dump fits.
 func allStacks() string {
@@ -302,7 +294,7 @@ func (b *Bundle) WriteJSON(w io.Writer) error {
 // WriteDir writes the bundle as a directory of section files:
 //
 //	manifest.json   schema, reason, cmd/args, env stamp, event counts
-//	events.jsonl    the retained flight events, oldest first, one per line
+//	events.jsonl    the retained ring events, oldest first, one per line
 //	metrics.json    obs registry snapshot
 //	goroutines.txt  all goroutine stacks
 //	kb_digest.json  predicate/rule/conflict digest of the loaded KB (if set)
@@ -395,22 +387,16 @@ func ReadBundle(path string) (*Bundle, error) {
 		return nil, fmt.Errorf("debug bundle: %w", err)
 	}
 	if !fi.IsDir() {
-		data, err := os.ReadFile(path)
+		f, err := os.Open(path)
 		if err != nil {
 			return nil, fmt.Errorf("debug bundle: %w", err)
 		}
-		var b Bundle
-		if err := json.Unmarshal(data, &b); err != nil {
+		defer f.Close()
+		b, err := DecodeBundle(f)
+		if err != nil {
 			return nil, fmt.Errorf("debug bundle %s: %w", path, err)
 		}
-		if b.SchemaVersion != BundleSchemaVersion {
-			return nil, fmt.Errorf("debug bundle %s: schema version %d, this binary reads %d",
-				path, b.SchemaVersion, BundleSchemaVersion)
-		}
-		if err := b.validate(); err != nil {
-			return nil, fmt.Errorf("debug bundle %s: %w", path, err)
-		}
-		return &b, nil
+		return b, nil
 	}
 
 	var b Bundle
@@ -421,9 +407,8 @@ func ReadBundle(path string) (*Bundle, error) {
 	if err := json.Unmarshal(manifest, &b.Manifest); err != nil {
 		return nil, fmt.Errorf("debug bundle %s: manifest: %w", path, err)
 	}
-	if b.SchemaVersion != BundleSchemaVersion {
-		return nil, fmt.Errorf("debug bundle %s: schema version %d, this binary reads %d",
-			path, b.SchemaVersion, BundleSchemaVersion)
+	if err := b.checkSchema(); err != nil {
+		return nil, fmt.Errorf("debug bundle %s: %w", path, err)
 	}
 	if data, err := os.ReadFile(filepath.Join(path, "events.jsonl")); err == nil {
 		for _, line := range bytes.Split(data, []byte("\n")) {
@@ -490,10 +475,46 @@ func ReadBundle(path string) (*Bundle, error) {
 	return &b, nil
 }
 
-// validate rejects histogram snapshots whose shape the renderers cannot
-// read (see obs.HistogramSnapshot.Validate), so a malformed file fails
-// with an error rather than a panic in the quantile code.
+// DecodeBundle reads a single-document bundle (the /debugz format) and
+// applies the same schema and consistency checks as ReadBundle — kbdump
+// -follow decodes live captures through it.
+func DecodeBundle(r io.Reader) (*Bundle, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	var b Bundle
+	if err := json.Unmarshal(data, &b); err != nil {
+		return nil, err
+	}
+	if err := b.checkSchema(); err != nil {
+		return nil, err
+	}
+	if err := b.validate(); err != nil {
+		return nil, err
+	}
+	return &b, nil
+}
+
+func (b *Bundle) checkSchema() error {
+	if b.SchemaVersion != BundleSchemaVersion {
+		return fmt.Errorf("schema version %d, this binary reads %d", b.SchemaVersion, BundleSchemaVersion)
+	}
+	return nil
+}
+
+// validate rejects what the renderers cannot read: event counts that
+// disagree with the events present (an eviction count would underflow),
+// and histogram snapshots of the wrong shape (see
+// obs.HistogramSnapshot.Validate), so a malformed file fails with an error
+// rather than a panic or a nonsense figure.
 func (b *Bundle) validate() error {
+	if b.EventsRetained != len(b.Events) {
+		return fmt.Errorf("manifest: events_retained %d, but %d events present", b.EventsRetained, len(b.Events))
+	}
+	if b.EventsTotal < uint64(b.EventsRetained) {
+		return fmt.Errorf("manifest: events_total %d is below events_retained %d", b.EventsTotal, b.EventsRetained)
+	}
 	if err := b.Metrics.Validate(); err != nil {
 		return fmt.Errorf("metrics: %w", err)
 	}
@@ -511,10 +532,10 @@ type Config struct {
 	// the target of signal/panic dumps). Empty leaves signal/panic dumps to
 	// a per-process fallback under the OS temp directory.
 	BundleDir string
-	// Events is the flight-recorder capacity; 0 (the default) starts at
-	// DefaultCapacity and lets Autosize grow the ring once the KB is
-	// loaded, an explicit positive value is used as-is, and < 0 disables
-	// the recorder entirely.
+	// Events is the event-ring capacity; 0 (the default) starts at
+	// obs.DefaultRingCapacity and lets Autosize grow the ring once the KB
+	// is loaded, an explicit positive value is used as-is, and < 0
+	// disables the ring entirely.
 	Events int
 }
 
@@ -525,11 +546,11 @@ func AddFlags(fs *flag.FlagSet) *Config {
 	fs.StringVar(&c.BundleDir, "debug-bundle", "",
 		"write a post-mortem debug bundle to this directory at exit (signal/panic dumps also land here)")
 	fs.IntVar(&c.Events, "flight-events", 0,
-		"flight recorder capacity in events (omit to autosize from the KB, negative disables)")
+		"event ring capacity (omit to autosize from the KB, negative disables)")
 	return c
 }
 
-// Autosize resizes the process-wide recorder for a KB of the given fact
+// Autosize resizes the process-wide event ring for a KB of the given fact
 // count — only when the user left -flight-events at its default (an
 // explicit capacity always wins). The CLIs call it right after the KB is
 // loaded; events recorded before the call are carried over.
@@ -537,7 +558,7 @@ func (c Config) Autosize(facts int) {
 	if c.Events != 0 {
 		return
 	}
-	Resize(AutosizeCapacity(facts))
+	obs.ResizeRing(AutosizeCapacity(facts))
 }
 
 // dumpDir resolves where unsolicited (signal, panic) bundles go: the
@@ -551,14 +572,14 @@ func (c Config) dumpDir(cmd string) string {
 }
 
 // Setup wires the post-mortem machinery for a CLI: enables the always-on
-// flight recorder (unless c.Events < 0), installs the SIGQUIT/SIGUSR1 dump
+// event ring (unless c.Events < 0), installs the SIGQUIT/SIGUSR1 dump
 // handler, and returns the finish function main calls once on exit — it
 // writes the at-exit bundle when -debug-bundle was given, else does
 // nothing. Pair it with a deferred HandlePanic() in main.
 func Setup(cmd string, c Config) (finish func() error) {
 	setCmd(cmd)
 	if c.Events >= 0 {
-		Enable(c.Events)
+		obs.EnableRing(c.Events)
 	}
 	dir := c.dumpDir(cmd)
 	panicDir.Store(&dir)

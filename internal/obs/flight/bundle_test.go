@@ -3,6 +3,7 @@ package flight
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -23,8 +24,8 @@ func clearProviders(t *testing.T) {
 func TestCaptureSections(t *testing.T) {
 	resetGlobal(t)
 	clearProviders(t)
-	Enable(32)
-	Record(KindChaseRoundStart, 1, 10, 0, 0)
+	obs.EnableRing(32)
+	obs.Point(obs.KindParDispatch, "core.pi", 4, 2)
 	SetDigestProvider(func() any { return map[string]int{"facts": 42} })
 	SetJournalProvider(func() any { return map[string]string{"strategy": "random"} })
 
@@ -35,7 +36,7 @@ func TestCaptureSections(t *testing.T) {
 	if b.Reason != "test-reason" {
 		t.Errorf("reason = %q", b.Reason)
 	}
-	// The capture itself appends a bundle_dump event after the round event.
+	// The capture itself appends a bundle_dump event after the dispatch.
 	if b.EventsRetained < 2 {
 		t.Fatalf("retained %d events, want >= 2", b.EventsRetained)
 	}
@@ -71,8 +72,8 @@ func TestCaptureSections(t *testing.T) {
 func TestBundleDirRoundtrip(t *testing.T) {
 	resetGlobal(t)
 	clearProviders(t)
-	Enable(32)
-	Record(KindQuestion, 1, 3, 5, 120)
+	obs.EnableRing(32)
+	obs.Start(obs.KindQuestion, 0, 1, 1, 5).End(3, 120)
 	SetDigestProvider(func() any { return map[string]int{"facts": 7} })
 
 	dir := filepath.Join(t.TempDir(), "bundle")
@@ -101,8 +102,8 @@ func TestBundleDirRoundtrip(t *testing.T) {
 func TestBundleJSONRoundtrip(t *testing.T) {
 	resetGlobal(t)
 	clearProviders(t)
-	Enable(32)
-	Record(KindAnswer, 2, 0, 1, 0)
+	obs.EnableRing(32)
+	obs.Point(obs.KindAnswer, "v", 2, 0, 0)
 
 	path := filepath.Join(t.TempDir(), "debugz.json")
 	f, err := os.Create(path)
@@ -137,8 +138,8 @@ func TestReadBundleRejectsWrongSchema(t *testing.T) {
 func TestDebugzEndpoint(t *testing.T) {
 	resetGlobal(t)
 	clearProviders(t)
-	Enable(32)
-	Record(KindSessionStart, 10, 2, 3, 0)
+	obs.EnableRing(32)
+	obs.StartNote(obs.KindInquiryRun, 0, "random", 10).End(0, 1)
 
 	srv := httptest.NewServer(obs.DebugMux())
 	defer srv.Close()
@@ -164,9 +165,10 @@ func TestDebugzEndpoint(t *testing.T) {
 
 func TestSetupDisablesRecorder(t *testing.T) {
 	resetGlobal(t)
+	obs.DisableRing()
 	finish := Setup("flighttest", Config{Events: -1})
-	if Active() {
-		t.Fatal("recorder active with Events < 0")
+	if obs.CurrentRing() != nil {
+		t.Fatal("ring enabled with Events < 0")
 	}
 	if err := finish(); err != nil {
 		t.Fatal(err)
@@ -178,10 +180,10 @@ func TestSetupExitBundle(t *testing.T) {
 	clearProviders(t)
 	dir := filepath.Join(t.TempDir(), "exit-bundle")
 	finish := Setup("flighttest", Config{BundleDir: dir, Events: 8})
-	if !Active() {
-		t.Fatal("recorder not enabled by Setup")
+	if obs.CurrentRing() == nil {
+		t.Fatal("ring not enabled by Setup")
 	}
-	Record(KindQuestion, 1, 1, 1, 1)
+	obs.Point(obs.KindAnswer, "v", 1, 1, 1)
 	if err := finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +199,7 @@ func TestSetupExitBundle(t *testing.T) {
 func TestBundleAttrSectionRoundtrip(t *testing.T) {
 	resetGlobal(t)
 	clearProviders(t)
-	Enable(32)
+	obs.EnableRing(32)
 	prev := obs.AttrEnabled()
 	obs.SetAttrEnabled(true)
 	t.Cleanup(func() {
@@ -249,16 +251,12 @@ func TestBundleAttrSectionRoundtrip(t *testing.T) {
 func TestBundleTraceSectionRoundtrip(t *testing.T) {
 	resetGlobal(t)
 	clearProviders(t)
-	Enable(32)
-	ring := obs.NewRingSink(64)
-	tr := obs.NewTracer(ring)
-	root := tr.StartSpan("inquiry.run")
-	q := root.Child("inquiry.question", obs.Int("q", 1), obs.Int("phase", 2))
-	q.Child("inquiry.sound_question").End()
-	q.End()
-	root.End()
-	obs.SetTraceRing(ring)
-	t.Cleanup(func() { obs.SetTraceRing(nil) })
+	obs.EnableRing(32)
+	root := obs.StartNote(obs.KindInquiryRun, 0, "random", 10)
+	q := root.Child(obs.KindQuestion, 1, 2, 3)
+	q.Child(obs.KindSoundQuestion).End(1, 2)
+	q.End(2, 40)
+	root.End(1, 1)
 
 	b := Capture("trace-roundtrip")
 	if b.Trace == nil || b.Trace.Questions != 1 {
@@ -294,15 +292,14 @@ func TestBundleTraceSectionRoundtrip(t *testing.T) {
 func TestCaptureOmitsTraceWhenNoRing(t *testing.T) {
 	resetGlobal(t)
 	clearProviders(t)
-	Enable(32)
-	obs.SetTraceRing(nil)
+	obs.DisableRing()
 	b := Capture("no-trace")
-	if b.Trace != nil {
-		t.Fatal("trace section present without a trace ring")
+	if b.Trace != nil || len(b.Events) != 0 {
+		t.Fatal("trace section or events present without a ring")
 	}
 	for _, s := range b.Sections {
 		if s == "trace.json" {
-			t.Fatal("manifest lists trace.json without a trace ring")
+			t.Fatal("manifest lists trace.json without a ring")
 		}
 	}
 }
@@ -310,7 +307,7 @@ func TestCaptureOmitsTraceWhenNoRing(t *testing.T) {
 func TestCaptureOmitsAttrWhenDisabled(t *testing.T) {
 	resetGlobal(t)
 	clearProviders(t)
-	Enable(32)
+	obs.EnableRing(32)
 	prev := obs.AttrEnabled()
 	obs.SetAttrEnabled(false)
 	t.Cleanup(func() { obs.SetAttrEnabled(prev) })
@@ -329,8 +326,8 @@ func TestCaptureOmitsAttrWhenDisabled(t *testing.T) {
 func TestDumpOnTestFailure(t *testing.T) {
 	resetGlobal(t)
 	clearProviders(t)
-	Enable(32)
-	Record(KindQuestion, 1, 2, 3, 4)
+	obs.EnableRing(32)
+	obs.Point(obs.KindAnswer, "v", 1, 2, 0)
 	root := t.TempDir()
 	t.Setenv(TestBundleEnv, root)
 
@@ -380,7 +377,7 @@ const legacySched = `{"enabled": true, "fanouts_total": 1, "open_fanouts": 0,
 func TestBundleSchedAndRuntimeSections(t *testing.T) {
 	resetGlobal(t)
 	clearProviders(t)
-	Enable(32)
+	obs.EnableRing(32)
 
 	b := Capture("runtime-sections")
 	if b.Runtime == nil || b.Runtime.Goroutines < 1 {
@@ -451,6 +448,31 @@ func TestBundleSchedAndRuntimeSections(t *testing.T) {
 		}
 		if got.HeapProfile != b.HeapProfile || got.MutexProfile != b.MutexProfile || got.BlockProfile != b.BlockProfile {
 			t.Errorf("%s: profiles did not roundtrip", path)
+		}
+	}
+}
+
+// TestDecodeBundleRejectsInconsistentCounts: event counts that disagree
+// with the events present — which kbdump would turn into an underflowed
+// eviction count — and a foreign schema version are errors, not renders.
+func TestDecodeBundleRejectsInconsistentCounts(t *testing.T) {
+	doc := func(schema int, total uint64, retained int) string {
+		return fmt.Sprintf(`{"schema_version": %d, "reason": "x", "events_total": %d, "events_retained": %d,
+			"events": [{"seq": 1, "t_us": 0, "kind": "anomaly"}, {"seq": 2, "t_us": 5, "kind": "anomaly"}],
+			"metrics": {"counters": {}, "gauges": {}, "histograms": {}}}`, schema, total, retained)
+	}
+	if _, err := DecodeBundle(strings.NewReader(doc(BundleSchemaVersion, 7, 2))); err != nil {
+		t.Fatalf("consistent bundle rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		doc, want string
+	}{
+		{doc(BundleSchemaVersion, 1, 2), "events_total 1 is below events_retained 2"},
+		{doc(BundleSchemaVersion, 7, 3), "events_retained 3, but 2 events present"},
+		{doc(BundleSchemaVersion+1, 7, 2), "schema version"},
+	} {
+		if _, err := DecodeBundle(strings.NewReader(tc.doc)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("DecodeBundle = %v, want an error containing %q", err, tc.want)
 		}
 	}
 }

@@ -2,23 +2,28 @@ package flight
 
 import (
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"kbrepair/internal/obs"
 )
 
-// resetGlobal detaches any process-wide recorder after a test so tests stay
-// independent.
+// resetGlobal detaches any process-wide event ring after a test so tests
+// stay independent.
 func resetGlobal(t *testing.T) {
 	t.Helper()
-	t.Cleanup(Disable)
+	t.Cleanup(obs.DisableRing)
 }
 
+// The event ring itself lives in internal/obs; these tests pin the
+// behaviour bundles rely on, through obs's exported API.
+
 func TestRecorderRingEviction(t *testing.T) {
-	r := NewRecorder(4)
+	resetGlobal(t)
+	r := obs.EnableRing(4)
 	for i := 1; i <= 10; i++ {
-		r.record(KindChaseRoundStart, int64(i), 0, 0, 0, "")
+		obs.Point(obs.KindHomoSearch, "", i)
 	}
 	if got := r.Total(); got != 10 {
 		t.Fatalf("Total() = %d, want 10", got)
@@ -29,130 +34,148 @@ func TestRecorderRingEviction(t *testing.T) {
 	}
 	for i, e := range events {
 		wantSeq := uint64(7 + i)
-		if e.Seq != wantSeq {
-			t.Errorf("event %d: seq = %d, want %d (oldest first)", i, e.Seq, wantSeq)
-		}
-		if e.N1 != int64(wantSeq) {
-			t.Errorf("event %d: N1 = %d, want %d", i, e.N1, wantSeq)
+		if e.Seq != wantSeq || e.N[0] != int64(wantSeq) {
+			t.Errorf("event %d: seq %d, N[0] %d, want %d (oldest first)", i, e.Seq, e.N[0], wantSeq)
 		}
 	}
-	if events[0].TUS > events[3].TUS {
-		t.Errorf("timestamps not monotone: %d then %d", events[0].TUS, events[3].TUS)
+	if events[0].StartUS > events[3].StartUS {
+		t.Errorf("timestamps not monotone: %d then %d", events[0].StartUS, events[3].StartUS)
 	}
 }
 
 func TestRecorderPartialRing(t *testing.T) {
-	r := NewRecorder(8)
-	r.record(KindQuestion, 1, 2, 3, 4, "")
-	r.record(KindAnswer, 5, 6, 1, 0, "v")
+	resetGlobal(t)
+	r := obs.EnableRing(8)
+	obs.Start(obs.KindQuestion, 0, 1, 2, 3).End(4, 120)
+	obs.Point(obs.KindAnswer, "v", 5, 6, 1)
 	events := r.Events()
-	if len(events) != 2 {
-		t.Fatalf("retained %d events, want 2", len(events))
+	if len(events) != 3 {
+		t.Fatalf("retained %d events, want begin mark, close and answer", len(events))
 	}
-	if events[0].Kind != KindQuestion || events[1].Kind != KindAnswer {
-		t.Fatalf("wrong kinds: %v, %v", events[0].Kind, events[1].Kind)
+	if !events[0].Open || events[1].Open || events[1].Kind != obs.KindQuestion || events[2].Kind != obs.KindAnswer {
+		t.Fatalf("wrong events: %+v", events)
 	}
 }
 
 func TestEventJSONFieldNames(t *testing.T) {
-	e := Event{Seq: 3, TUS: 150, Kind: KindChaseRoundEnd, N1: 2, N2: 7, N3: 1, N4: 5}
+	e := obs.Event{Seq: 3, Kind: obs.KindChaseRound, Span: 9, Parent: 4, StartUS: 1100, DurUS: 50,
+		N: [obs.MaxFields]int64{2, 10, 7, 1, 5}, Set: 5}
 	var m map[string]any
-	if err := json.Unmarshal(e.JSON(), &m); err != nil {
-		t.Fatalf("event JSON invalid: %v\n%s", err, e.JSON())
+	if err := json.Unmarshal(e.AppendJSON(nil, 1000), &m); err != nil {
+		t.Fatalf("event JSON invalid: %v\n%s", err, e.AppendJSON(nil, 1000))
 	}
 	want := map[string]float64{
-		"seq": 3, "t_us": 150, "round": 2, "derived": 7, "deferred": 1, "firings": 5,
+		"seq": 3, "t_us": 150, "span": 9, "parent": 4, "dur_us": 50,
+		"round": 2, "delta": 10, "derived": 7, "deferred": 1, "firings": 5,
 	}
 	for k, v := range want {
 		if got, ok := m[k].(float64); !ok || got != v {
 			t.Errorf("field %q = %v, want %v", k, m[k], v)
 		}
 	}
-	if m["kind"] != "chase.round_end" {
-		t.Errorf("kind = %v, want chase.round_end", m["kind"])
+	if m["kind"] != "chase.round" || m["open"] != nil {
+		t.Errorf("kind = %v, open = %v; want a closed chase.round", m["kind"], m["open"])
+	}
+
+	// A begin mark: "open", its start time, only the fields known at start.
+	mark := obs.Event{Kind: obs.KindChaseRound, Span: 9, StartUS: 1100, N: [obs.MaxFields]int64{2, 10}, Set: 2, Open: true}
+	m = nil
+	if err := json.Unmarshal(mark.AppendJSON(nil, 1000), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m["open"] != true || m["t_us"] != 100.0 || m["dur_us"] != nil || m["derived"] != nil {
+		t.Errorf("begin mark = %v", m)
 	}
 }
 
-// TestRoundEndStatusJSON pins the abnormal-exit rendering of chase round
-// ends: all four payload slots plus the status marker — and that a normal
-// round end (empty status) omits the field entirely, keeping existing
-// timelines byte-stable.
+// TestRoundEndStatusJSON pins the abnormal-exit rendering of chase rounds:
+// the status note — and that a normal round (empty status) omits the field
+// entirely.
 func TestRoundEndStatusJSON(t *testing.T) {
 	resetGlobal(t)
-	r := Enable(16)
-	RecordNote4(KindChaseRoundEnd, 3, 0, 2, 9, RoundStatusBudget)
+	r := obs.EnableRing(16)
+	obs.Start(obs.KindChaseRound, 0, 3, 4).EndNote("budget", 0, 2, 9)
+	obs.Start(obs.KindChaseRound, 0, 1, 2).End(1, 0, 1)
 	events := r.Events()
-	if len(events) != 1 {
-		t.Fatalf("recorded %d events, want 1", len(events))
+	if len(events) != 4 {
+		t.Fatalf("recorded %d events, want two begin marks and two closes", len(events))
 	}
-	var m map[string]any
-	if err := json.Unmarshal(events[0].JSON(), &m); err != nil {
-		t.Fatalf("event JSON invalid: %v\n%s", err, events[0].JSON())
+	decode := func(e obs.Event) map[string]any {
+		var m map[string]any
+		if err := json.Unmarshal(e.AppendJSON(nil, r.BaseUS()), &m); err != nil {
+			t.Fatalf("event JSON invalid: %v", err)
+		}
+		return m
 	}
-	for k, v := range map[string]float64{"round": 3, "derived": 0, "deferred": 2, "firings": 9} {
+	m := decode(events[1])
+	for k, v := range map[string]float64{"round": 3, "delta": 4, "derived": 0, "deferred": 2, "firings": 9} {
 		if got, ok := m[k].(float64); !ok || got != v {
 			t.Errorf("field %q = %v, want %v", k, m[k], v)
 		}
 	}
-	if m["status"] != RoundStatusBudget {
-		t.Errorf("status = %v, want %q", m["status"], RoundStatusBudget)
+	if m["status"] != "budget" {
+		t.Errorf("status = %v, want budget", m["status"])
 	}
-	// Normal end: no status field.
-	normal := Event{Kind: KindChaseRoundEnd, N1: 1}
-	var n map[string]any
-	if err := json.Unmarshal(normal.JSON(), &n); err != nil {
-		t.Fatal(err)
-	}
-	if _, present := n["status"]; present {
+	if _, present := decode(events[3])["status"]; present {
 		t.Error("empty status rendered on a normal round end")
 	}
 }
 
 func TestEventJSONNote(t *testing.T) {
-	e := Event{Seq: 1, Kind: KindAnswer, N1: 4, N2: 0, N3: 1, Note: `pa"d`}
+	e := obs.Event{Seq: 1, Kind: obs.KindAnswer, N: [obs.MaxFields]int64{4, 0, 1}, Set: 3, Note: `pa"d` + "\u2028"}
 	var m map[string]any
-	if err := json.Unmarshal(e.JSON(), &m); err != nil {
-		t.Fatalf("event JSON invalid: %v\n%s", err, e.JSON())
+	if err := json.Unmarshal(e.AppendJSON(nil, 0), &m); err != nil {
+		t.Fatalf("event JSON invalid: %v\n%s", err, e.AppendJSON(nil, 0))
 	}
-	if m["value"] != `pa"d` {
+	if m["value"] != `pa"d`+"\u2028" {
 		t.Errorf("note field value = %v, want the quoted original", m["value"])
 	}
-	if _, present := m["n4"]; present {
-		t.Error("unused slot rendered")
+	if m["null"] != 1.0 || m["span"] != nil || m["dur_us"] != nil {
+		t.Errorf("point event = %v, want its fields and no span fields", m)
+	}
+	// Unset slots are not rendered.
+	e.Set = 1
+	m = nil
+	if err := json.Unmarshal(e.AppendJSON(nil, 0), &m); err != nil {
+		t.Fatal(err)
+	}
+	if _, present := m["arg"]; present {
+		t.Error("unset slot rendered")
 	}
 }
 
 func TestGlobalRecordDisabledAndEnabled(t *testing.T) {
 	resetGlobal(t)
-	Disable()
-	Record(KindQuestion, 1, 2, 3, 4) // must not panic with no recorder
-	if Active() {
-		t.Fatal("Active() true after Disable")
+	obs.DisableRing()
+	obs.Point(obs.KindAnomaly, "x", 1, 2) // must not panic with no ring
+	if obs.CurrentRing() != nil {
+		t.Fatal("ring installed after DisableRing")
 	}
-	r := Enable(16)
-	Record(KindQuestion, 1, 2, 3, 4)
-	RecordNote(KindAnswer, 1, 0, 0, "x")
-	if got := r.Total(); got != 2 {
-		t.Fatalf("recorded %d events, want 2", got)
+	r := obs.EnableRing(16)
+	obs.Point(obs.KindAnomaly, "x", 1, 2)
+	obs.Start(obs.KindPickConflict, 0).End()
+	if got := r.Total(); got != 3 {
+		t.Fatalf("recorded %d events, want point, begin mark, close", got)
 	}
-	Disable()
-	Record(KindQuestion, 9, 9, 9, 9)
-	if got := r.Total(); got != 2 {
-		t.Fatalf("recorded after Disable: total = %d, want 2", got)
+	obs.DisableRing()
+	obs.Point(obs.KindAnomaly, "x", 1, 2)
+	if got := r.Total(); got != 3 {
+		t.Fatalf("recorded after DisableRing: total = %d, want 3", got)
 	}
 }
 
 // TestRecordDisabledZeroAlloc pins the acceptance criterion directly: with
-// no recorder installed, the instrumentation call sites in the chase and
+// no ring installed, the instrumentation call sites in the chase and
 // inquiry hot paths must not allocate.
 func TestRecordDisabledZeroAlloc(t *testing.T) {
 	resetGlobal(t)
-	Disable()
+	obs.DisableRing()
 	if n := testing.AllocsPerRun(1000, func() {
-		Record(KindChaseRoundStart, 1, 2, 3, 4)
-		RecordNote(KindAnomaly, 1, 2, 3, AnomalyNoProgress)
+		obs.Point(obs.KindHomoSearch, "", 1, 2, 3, 4)
+		obs.Point(obs.KindAnomaly, AnomalyNoProgress, 1, 2)
+		obs.Start(obs.KindChaseRound, 0, 1, 2).EndNote("budget", 3, 4, 5)
 	}); n != 0 {
-		t.Fatalf("disabled Record allocates %v allocs/op, want 0", n)
+		t.Fatalf("disabled recording allocates %v allocs/op, want 0", n)
 	}
 }
 
@@ -160,41 +183,109 @@ func TestRecordDisabledZeroAlloc(t *testing.T) {
 // pre-allocated slot — also allocation-free.
 func TestRecordEnabledZeroAlloc(t *testing.T) {
 	resetGlobal(t)
-	Enable(64)
+	obs.EnableRing(64)
 	if n := testing.AllocsPerRun(1000, func() {
-		Record(KindChaseRoundStart, 1, 2, 3, 4)
+		obs.Point(obs.KindHomoSearch, "", 1, 2, 3, 4)
 	}); n != 0 {
-		t.Fatalf("enabled Record allocates %v allocs/op, want 0", n)
+		t.Fatalf("enabled Point allocates %v allocs/op, want 0", n)
 	}
 }
 
-// BenchmarkFlightRecordDisabled is the benchmark-guarded form (same pattern
-// as obs.BenchmarkSamplerDisabled): run with -benchmem, expect 0 allocs/op.
-func BenchmarkFlightRecordDisabled(b *testing.B) {
-	Disable()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Record(KindChaseRoundStart, int64(i), 2, 3, 4)
+// TestKindStrings pins the kind names bundle readers match on: kbdump's
+// anomaly list and -follow marker, and the capture marker.
+func TestKindStrings(t *testing.T) {
+	for k, want := range map[obs.Kind]string{
+		obs.KindAnomaly:    "anomaly",
+		obs.KindBundleDump: "flight.bundle_dump",
+		obs.KindQuestion:   "inquiry.question",
+		obs.KindChaseRound: "chase.round",
+	} {
+		if got := k.String(); got != want {
+			t.Errorf("kind %d = %q, want %q", k, got, want)
+		}
+	}
+	if got := obs.Kind(200).String(); got != "kind(200)" {
+		t.Errorf("unknown kind = %q, want kind(200)", got)
 	}
 }
 
-func BenchmarkFlightRecordEnabled(b *testing.B) {
-	Enable(DefaultCapacity)
-	defer Disable()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Record(KindChaseRoundStart, int64(i), 2, 3, 4)
+func TestResizePreservesHistory(t *testing.T) {
+	resetGlobal(t)
+	old := obs.EnableRing(8)
+	for i := 1; i <= 5; i++ {
+		obs.Point(obs.KindHomoSearch, "", i)
+	}
+	before := old.Events()
+	obs.ResizeRing(64)
+	r := obs.CurrentRing()
+	if r.Capacity() != 64 || r.BaseUS() != old.BaseUS() {
+		t.Fatalf("resized ring: capacity %d, base %d (want 64, %d)", r.Capacity(), r.BaseUS(), old.BaseUS())
+	}
+	if got := r.Total(); got != 5 {
+		t.Fatalf("Total() = %d, want 5 (sequence must carry over)", got)
+	}
+	after := r.Events()
+	if len(after) != len(before) {
+		t.Fatalf("retained %d events, want %d", len(after), len(before))
+	}
+	for i := range before {
+		if after[i] != before[i] {
+			t.Fatalf("event %d changed across resize: %+v vs %+v", i, before[i], after[i])
+		}
+	}
+	// Sequence numbering continues where it left off.
+	obs.Point(obs.KindHomoSearch, "", 6)
+	events := r.Events()
+	if last := events[len(events)-1]; last.Seq != 6 {
+		t.Fatalf("post-resize seq = %d, want 6", last.Seq)
+	}
+}
+
+func TestResizeShrinkDropsOldest(t *testing.T) {
+	resetGlobal(t)
+	obs.EnableRing(8)
+	for i := 1; i <= 8; i++ {
+		obs.Point(obs.KindHomoSearch, "", i)
+	}
+	obs.ResizeRing(3)
+	r := obs.CurrentRing()
+	events := r.Events()
+	if len(events) != 3 {
+		t.Fatalf("retained %d events, want 3", len(events))
+	}
+	for i, e := range events {
+		if want := int64(i + 6); e.N[0] != want {
+			t.Fatalf("event %d: N[0] = %d, want %d (newest three)", i, e.N[0], want)
+		}
+	}
+	if r.Total() != 8 {
+		t.Fatalf("Total() = %d, want 8", r.Total())
+	}
+	// The shrunk ring is full: the next record evicts the oldest survivor.
+	obs.Point(obs.KindHomoSearch, "", 9)
+	events = r.Events()
+	if len(events) != 3 || events[0].N[0] != 7 || events[2].N[0] != 9 {
+		t.Fatalf("ring after post-shrink record: %+v", events)
+	}
+}
+
+func TestResizeWithoutRecorderIsNoop(t *testing.T) {
+	resetGlobal(t)
+	obs.DisableRing()
+	obs.ResizeRing(128)
+	if obs.CurrentRing() != nil {
+		t.Fatal("ResizeRing installed a ring where none was active")
 	}
 }
 
 // TestConcurrentRecordAndCapture hammers the ring from several writer
 // goroutines while concurrently capturing bundles — the signal-handler /
 // /debugz scenario. Run under -race this is the append-vs-dump race guard;
-// it also checks every captured event line is whole (valid JSON, known
-// kind).
+// it also checks every captured event line is whole (valid JSON) and that
+// every capture passes the bundle's own consistency checks.
 func TestConcurrentRecordAndCapture(t *testing.T) {
 	resetGlobal(t)
-	Enable(256)
+	r := obs.EnableRing(256)
 	const writers = 4
 	const perWriter = 2000
 	var wg sync.WaitGroup
@@ -204,8 +295,8 @@ func TestConcurrentRecordAndCapture(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				Record(KindParDispatch, int64(g), int64(i), 0, 0)
-				RecordNote(KindAnomaly, int64(i), 0, 0, AnomalyLatencySpike)
+				obs.Point(obs.KindParDispatch, "test", g, i)
+				obs.Point(obs.KindAnomaly, AnomalyLatencySpike, i, 0)
 			}
 		}(g)
 	}
@@ -219,6 +310,10 @@ func TestConcurrentRecordAndCapture(t *testing.T) {
 		for {
 			b := Capture("test")
 			captures++
+			if err := b.validate(); err != nil {
+				t.Errorf("capture is inconsistent: %v", err)
+				return
+			}
 			for _, raw := range b.Events {
 				var m map[string]any
 				if err := json.Unmarshal(raw, &m); err != nil {
@@ -239,8 +334,7 @@ func TestConcurrentRecordAndCapture(t *testing.T) {
 	if captures == 0 {
 		t.Fatal("capture goroutine never ran")
 	}
-	r := Current()
-	// Each Capture also records a KindBundleDump event.
+	// Each Capture also records a flight.bundle_dump event.
 	want := uint64(writers*perWriter*2 + captures)
 	if got := r.Total(); got != want {
 		t.Fatalf("total events = %d, want %d", got, want)
@@ -249,7 +343,7 @@ func TestConcurrentRecordAndCapture(t *testing.T) {
 
 func TestWatchdogNoProgress(t *testing.T) {
 	resetGlobal(t)
-	r := Enable(128)
+	r := obs.EnableRing(128)
 	SessionBegin()
 	ObserveQuestion(1, 10, time.Millisecond)
 	for i := 0; i < NoProgressK; i++ {
@@ -260,8 +354,8 @@ func TestWatchdogNoProgress(t *testing.T) {
 	}
 
 	// A fresh session with strictly decreasing conflicts must stay clean.
-	// Fresh recorder too: the ring still holds the stall's anomaly.
-	r = Enable(128)
+	// Fresh ring too: the old one still holds the stall's anomaly.
+	r = obs.EnableRing(128)
 	SessionBegin()
 	for i := 0; i < 3*NoProgressK; i++ {
 		ObserveQuestion(1, 100-i, time.Millisecond)
@@ -273,7 +367,7 @@ func TestWatchdogNoProgress(t *testing.T) {
 
 func TestWatchdogNoProgressPhaseTransition(t *testing.T) {
 	resetGlobal(t)
-	r := Enable(128)
+	r := obs.EnableRing(128)
 	SessionBegin()
 	// Phase 1 drives the count to 1; phase 2 legitimately starts higher.
 	for i := 0; i < 4; i++ {
@@ -289,7 +383,7 @@ func TestWatchdogNoProgressPhaseTransition(t *testing.T) {
 
 func TestWatchdogLatencySpike(t *testing.T) {
 	resetGlobal(t)
-	r := Enable(128)
+	r := obs.EnableRing(128)
 	SessionBegin()
 	for i := 0; i < SpikeMinSamples; i++ {
 		ObserveQuestion(1, 100-i, 2*time.Millisecond)
@@ -307,7 +401,7 @@ func TestWatchdogLatencySpike(t *testing.T) {
 
 func TestWatchdogChaseOverrun(t *testing.T) {
 	resetGlobal(t)
-	r := Enable(128)
+	r := obs.EnableRing(128)
 	SessionBegin()
 	const maxRounds = 10
 	for round := 1; round <= 7; round++ {
@@ -333,100 +427,23 @@ func TestWatchdogChaseOverrun(t *testing.T) {
 	}
 }
 
-func hasAnomaly(r *Recorder, name string) bool { return countAnomalies(r, name) > 0 }
+func hasAnomaly(r *obs.Ring, name string) bool { return countAnomalies(r, name) > 0 }
 
-func countAnomalies(r *Recorder, name string) int {
+func countAnomalies(r *obs.Ring, name string) int {
 	n := 0
 	for _, e := range r.Events() {
-		if e.Kind == KindAnomaly && e.Note == name {
+		if e.Kind == obs.KindAnomaly && e.Note == name {
 			n++
 		}
 	}
 	return n
 }
 
-func TestKindStrings(t *testing.T) {
-	for k := KindSessionStart; k < numKinds; k++ {
-		if s := k.String(); s == "" || strings.HasPrefix(s, "kind(") {
-			t.Errorf("kind %d has no name", k)
-		}
-	}
-}
-
-func TestResizePreservesHistory(t *testing.T) {
-	resetGlobal(t)
-	Enable(8)
-	for i := 1; i <= 5; i++ {
-		Record(KindChaseRoundStart, int64(i), 0, 0, 0)
-	}
-	before := Current().Events()
-	Resize(64)
-	r := Current()
-	if r.Capacity() != 64 {
-		t.Fatalf("capacity = %d, want 64", r.Capacity())
-	}
-	if got := r.Total(); got != 5 {
-		t.Fatalf("Total() = %d, want 5 (sequence must carry over)", got)
-	}
-	after := r.Events()
-	if len(after) != len(before) {
-		t.Fatalf("retained %d events, want %d", len(after), len(before))
-	}
-	for i := range before {
-		if after[i] != before[i] {
-			t.Fatalf("event %d changed across resize: %+v vs %+v", i, before[i], after[i])
-		}
-	}
-	// Sequence numbering continues where it left off.
-	Record(KindChaseRoundEnd, 6, 0, 0, 0)
-	events := r.Events()
-	if last := events[len(events)-1]; last.Seq != 6 {
-		t.Fatalf("post-resize seq = %d, want 6", last.Seq)
-	}
-}
-
-func TestResizeShrinkDropsOldest(t *testing.T) {
-	resetGlobal(t)
-	Enable(8)
-	for i := 1; i <= 8; i++ {
-		Record(KindChaseRoundStart, int64(i), 0, 0, 0)
-	}
-	Resize(3)
-	r := Current()
-	events := r.Events()
-	if len(events) != 3 {
-		t.Fatalf("retained %d events, want 3", len(events))
-	}
-	for i, e := range events {
-		if want := int64(i + 6); e.N1 != want {
-			t.Fatalf("event %d: N1 = %d, want %d (newest three)", i, e.N1, want)
-		}
-	}
-	if r.Total() != 8 {
-		t.Fatalf("Total() = %d, want 8", r.Total())
-	}
-	// The shrunk ring is full: the next record evicts the oldest survivor.
-	Record(KindChaseRoundStart, 9, 0, 0, 0)
-	events = r.Events()
-	if len(events) != 3 || events[0].N1 != 7 || events[2].N1 != 9 {
-		t.Fatalf("ring after post-shrink record: %+v", events)
-	}
-}
-
-func TestResizeWithoutRecorderIsNoop(t *testing.T) {
-	resetGlobal(t)
-	Disable()
-	Resize(128)
-	if Active() {
-		t.Fatal("Resize installed a recorder where none was active")
-	}
-}
-
 func TestAutosizeCapacityClamps(t *testing.T) {
 	cases := []struct{ facts, want int }{
-		{0, DefaultCapacity},
-		{10, DefaultCapacity},
-		{DefaultCapacity, DefaultCapacity * 8},
+		{0, obs.DefaultRingCapacity},
+		{10, obs.DefaultRingCapacity},
+		{obs.DefaultRingCapacity, obs.DefaultRingCapacity * 8},
 		{1 << 18, MaxAutosizeCapacity},
 		{1 << 30, MaxAutosizeCapacity},
 	}
@@ -439,16 +456,16 @@ func TestAutosizeCapacityClamps(t *testing.T) {
 
 func TestConfigAutosizeRespectsExplicitCapacity(t *testing.T) {
 	resetGlobal(t)
-	Enable(DefaultCapacity)
+	obs.EnableRing(obs.DefaultRingCapacity)
 	// Default config (Events == 0): autosize wins.
 	Config{}.Autosize(100_000)
-	if got, want := Current().Capacity(), AutosizeCapacity(100_000); got != want {
+	if got, want := obs.CurrentRing().Capacity(), AutosizeCapacity(100_000); got != want {
 		t.Fatalf("autosized capacity = %d, want %d", got, want)
 	}
 	// Explicit -flight-events: autosize must not touch the ring.
-	Enable(512)
+	obs.EnableRing(512)
 	Config{Events: 512}.Autosize(100_000)
-	if got := Current().Capacity(); got != 512 {
+	if got := obs.CurrentRing().Capacity(); got != 512 {
 		t.Fatalf("explicit capacity overridden: %d", got)
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // Anomaly watchdogs: small online detectors fed from the inquiry engine and
 // the chase loop that flag a session going wrong while it is still running.
-// Each detection emits a KindAnomaly flight event (so the bundle timeline
+// Each detection records an anomaly point event (so the bundle timeline
 // shows *when* it happened, between which questions) and bumps a
 // kbrepair_anomaly_* gauge (so a dashboard alert fires on it). Gauges hold
 // the number of detections in the current session and reset at
@@ -18,9 +18,9 @@ import (
 //
 // Detectors are deliberately cheap — one mutex-guarded update per question
 // or chase round, nothing on the per-trigger hot path — so they are always
-// on, independent of the recorder.
+// on, independent of the event ring.
 
-// Anomaly names, used as the Note of KindAnomaly events and (prefixed,
+// Anomaly names, used as the note of anomaly events and (prefixed,
 // dots-to-underscores) as the gauge names: kbrepair_anomaly_no_progress,
 // kbrepair_anomaly_chase_round_overrun, kbrepair_anomaly_question_latency_spike.
 const (
@@ -35,10 +35,9 @@ var (
 	gLatencySpike = obs.NewGauge("anomaly.question_latency_spike")
 )
 
-// Watchdog tuning. Package-level so a deployment can adjust them at
-// startup; the defaults are deliberately conservative — an anomaly should
-// mean "look at this session", not background noise.
-var (
+// Watchdog tuning. The defaults are deliberately conservative — an anomaly
+// should mean "look at this session", not background noise.
+const (
 	// NoProgressK is how many consecutive questions may pass without the
 	// conflicts-remaining count making a new minimum before the no-progress
 	// anomaly fires. Per Theorem 4.6 every answered question strictly
@@ -117,7 +116,7 @@ func ObserveQuestion(phase, conflictsRemaining int, delay time.Duration) {
 		wd.stalled++
 		if wd.stalled >= NoProgressK {
 			gNoProgress.Add(1)
-			RecordNote(KindAnomaly, int64(conflictsRemaining), int64(wd.minConflicts), int64(wd.stalled), AnomalyNoProgress)
+			obs.Point(obs.KindAnomaly, AnomalyNoProgress, conflictsRemaining, wd.minConflicts)
 			wd.stalled = 0 // re-arm: a persistent stall fires every K questions
 		}
 	}
@@ -136,7 +135,7 @@ func ObserveQuestion(phase, conflictsRemaining int, delay time.Duration) {
 			if !wd.spiked {
 				wd.spiked = true
 				gLatencySpike.Add(1)
-				RecordNote(KindAnomaly, int64(p99*1e6), int64(SpikeFactor*median*1e6), int64(median*1e6), AnomalyLatencySpike)
+				obs.Point(obs.KindAnomaly, AnomalyLatencySpike, int(p99*1e6), int(SpikeFactor*median*1e6))
 			}
 		} else {
 			wd.spiked = false
@@ -160,6 +159,6 @@ func ObserveChaseRound(round, maxRounds int) {
 	if float64(round) >= ChaseOverrunFraction*float64(maxRounds) {
 		wd.chaseFlagged = true
 		gChaseOverrun.Add(1)
-		RecordNote(KindAnomaly, int64(round), int64(maxRounds), 0, AnomalyChaseOverrun)
+		obs.Point(obs.KindAnomaly, AnomalyChaseOverrun, round, maxRounds)
 	}
 }

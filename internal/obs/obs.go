@@ -1,8 +1,8 @@
 // Package obs is the observability substrate of kbrepair: a lock-cheap
 // metrics registry (counters, gauges, fixed-bucket latency histograms,
-// optionally broken down by rule — see rules.go), a structured span/event
-// tracer with pluggable sinks, and pprof/expvar wiring helpers for the
-// CLIs.
+// optionally broken down by rule — see rules.go), a typed span/event
+// tracer feeding one event ring and the -trace file, and pprof/expvar
+// wiring helpers for the CLIs.
 //
 // The package is built for instrumentation of hot paths (the chase loop,
 // the homomorphism search, conflict maintenance), so the design rules are:
@@ -10,8 +10,8 @@
 //   - counters and histograms are always-on and allocation-free: plain
 //     atomic adds on striped cells, no locks, no maps on the update path;
 //   - anything that needs a clock (latency timers, spans) is gated behind
-//     Enabled / Tracing, so the default no-flags path pays one predictable
-//     branch and zero allocations;
+//     one atomic load (Enabled, or the tracer's outputs), so the default
+//     no-flags path pays one predictable branch and zero allocations;
 //   - instruments are registered once, at package init of the instrumented
 //     package, and held as package-level handles — the hot path never
 //     performs a name lookup.
@@ -71,52 +71,35 @@ func NewHistogram(name string, bounds []float64) *Histogram {
 	return defaultRegistry.Histogram(name, bounds)
 }
 
-// defaultTracer is the process-wide tracer; its sink starts as the no-op
-// sink, so tracing is free until a CLI installs a real sink.
-var defaultTracer = NewTracer(nil)
+// defaultTracer is the process-wide tracer; it starts with no outputs, so
+// tracing is free until a CLI installs the ring or a -trace sink.
+var defaultTracer = newTracer()
 
 // DefaultTracer returns the process-wide tracer.
 func DefaultTracer() *Tracer { return defaultTracer }
 
-// Tracing reports whether the default tracer has a real sink. Hot paths
-// must guard span/event calls that pass attributes behind this check: the
-// variadic attribute slice is materialized at the call site even when the
-// tracer would discard it.
-func Tracing() bool { return defaultTracer.Active() }
-
-// StartSpan opens a root span on the default tracer.
-func StartSpan(name string, attrs ...Attr) Span {
-	return defaultTracer.StartSpan(name, attrs...)
+// Start opens a span of kind k on the default tracer, under the span id
+// parent (0 for a root), with the leading payload slots. Call sites pass
+// causality as a plain id across package boundaries.
+func Start(k Kind, parent uint64, vals ...int) Span {
+	return defaultTracer.start(k, parent, "", vals...)
 }
 
-// StartSpanUnder opens a span on the default tracer with an explicit parent
-// span id (0 for a root) — for call sites that receive causality as a plain
-// id across a package boundary rather than as a Span value.
-func StartSpanUnder(parent uint64, name string, attrs ...Attr) Span {
-	return defaultTracer.StartSpanUnder(parent, name, attrs...)
+// StartNote is Start with the span's note set from the start.
+func StartNote(k Kind, parent uint64, note string, vals ...int) Span {
+	return defaultTracer.start(k, parent, note, vals...)
 }
+
+// Point records a point event into the ring, if one is installed. Callers
+// pass an already-materialized note (never format one for the call), so
+// the disabled path stays one atomic load with no allocation.
+func Point(k Kind, note string, vals ...int) { defaultTracer.point(k, note, vals) }
 
 // Now reads the default tracer's clock — time.Now in production, the
-// injected clock in deterministic-trace tests. Durations that become span
-// attributes (the engine's question delay) must be measured with it.
+// injected clock in deterministic-trace tests. Durations that land in span
+// payloads (the engine's question delay) must be measured with it.
 func Now() time.Time { return defaultTracer.Now() }
 
-// Emit records a point event on the default tracer.
-func Emit(name string, attrs ...Attr) { defaultTracer.Event(name, attrs...) }
-
-// SetTraceSink installs a sink on the default tracer (nil restores the
-// no-op sink).
-func SetTraceSink(s Sink) { defaultTracer.SetSink(s) }
-
-// AddTraceSink tees s onto whatever sink the default tracer already has,
-// or installs it alone if tracing was off — how kbbench collects a full
-// span stream for its report without requiring -trace. Not safe against
-// concurrent SetTraceSink calls; CLIs call both during single-threaded
-// setup.
-func AddTraceSink(s Sink) {
-	if box := defaultTracer.sink.Load(); box != nil {
-		defaultTracer.SetSink(MultiSink(box.s, s))
-		return
-	}
-	defaultTracer.SetSink(s)
-}
+// SetTraceSink installs the -trace sink on the default tracer (nil removes
+// it).
+func SetTraceSink(s *JSONLSink) { defaultTracer.swap(func(o *outputs) { o.sink = s }) }

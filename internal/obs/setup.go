@@ -11,15 +11,10 @@ import (
 // DefaultSampleEvery is the default time-series sampling interval.
 const DefaultSampleEvery = 250 * time.Millisecond
 
-// MaxFlightEvents is the largest flight-recorder capacity ValidateFlags
-// accepts for -flight-events: 16Mi events is ~1.5GB of ring buffer, far
+// MaxFlightEvents is the largest event-ring capacity ValidateFlags accepts
+// for -flight-events: 16Mi events is ~1.8GB of ring buffer, far
 // past any plausible retention need — a bigger value is a typo.
 const MaxFlightEvents = 1 << 24
-
-// TraceRingCapacity is the size of the in-memory trace ring SetupCLI tees
-// the -trace stream into for /tracez and debug bundles. 4096 records cover
-// hundreds of recent questions at the pipeline's span granularity.
-const TraceRingCapacity = 4096
 
 // CLIConfig is the observability surface the CLIs expose as flags.
 type CLIConfig struct {
@@ -171,11 +166,7 @@ func SetupCLI(c CLIConfig) (flush func() error, err error) {
 			return fail(fmt.Errorf("trace output: %w", err))
 		}
 		traceSink = NewJSONLSink(traceFile)
-		// Tee the trace into a bounded in-memory ring so /tracez and
-		// debug-bundle captures can show the most recent spans live.
-		ring := NewRingSink(TraceRingCapacity)
-		SetTraceRing(ring)
-		SetTraceSink(MultiSink(traceSink, ring))
+		SetTraceSink(traceSink)
 	}
 	if c.TimeseriesPath != "" {
 		seriesFile, err = os.Create(c.TimeseriesPath)
@@ -225,7 +216,6 @@ func SetupCLI(c CLIConfig) (flush func() error, err error) {
 		}
 		if traceSink != nil {
 			SetTraceSink(nil)
-			SetTraceRing(nil)
 			if err := traceSink.Flush(); err != nil {
 				keep(fmt.Errorf("trace output: %w", err))
 			}

@@ -12,7 +12,7 @@ func newCLIFlagSet() *flag.FlagSet {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	AddFlags(fs)
 	fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	fs.Int("flight-events", 0, "flight recorder capacity (0 autosizes, negative disables)")
+	fs.Int("flight-events", 0, "event ring capacity (0 autosizes, negative disables)")
 	return fs
 }
 

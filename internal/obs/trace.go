@@ -9,32 +9,10 @@ import (
 	"time"
 )
 
-// Attr is one key/value attribute on a span or event. Values should be
-// JSON-encodable scalars (string, int64, float64, bool).
-type Attr struct {
-	Key string
-	Val any
-}
-
-// Str builds a string attribute.
-func Str(k, v string) Attr { return Attr{Key: k, Val: v} }
-
-// Int builds an integer attribute.
-func Int(k string, v int) Attr { return Attr{Key: k, Val: int64(v)} }
-
-// Int64 builds an integer attribute.
-func Int64(k string, v int64) Attr { return Attr{Key: k, Val: v} }
-
-// F64 builds a float attribute.
-func F64(k string, v float64) Attr { return Attr{Key: k, Val: v} }
-
-// Bool builds a boolean attribute.
-func Bool(k string, v bool) Attr { return Attr{Key: k, Val: v} }
-
-// Record is one trace entry as handed to sinks: a completed span (emitted
-// at End, with a duration) or a point event. Times are microseconds since
-// the Unix epoch; attribute maps serialize with sorted keys, so a JSONL
-// trace is deterministic given a deterministic clock.
+// Record is one line of the -trace file: a closed span, or a point event in
+// traces written by older builds. Times are microseconds since the Unix
+// epoch; attribute maps serialize with sorted keys, so a JSONL trace is
+// deterministic given a deterministic clock.
 //
 // Parent is the span id of the causal parent (0 for roots and events): the
 // span that was in progress, one level up, when this one started. A trace
@@ -51,41 +29,46 @@ type Record struct {
 	Attrs   map[string]any `json:"attrs,omitempty"`
 }
 
-// Sink consumes trace records. Implementations must be safe for concurrent
-// use.
-type Sink interface {
-	Write(Record)
-}
-
-// Tracer produces spans and events into a sink. A nil sink means tracing
-// is off: StartSpan returns the inert zero Span and Event returns
-// immediately. The clock is injectable for deterministic tests; it is held
-// behind an atomic pointer so hot traced paths never contend on a lock.
+// Tracer produces spans into the process's outputs: the ring (begin marks,
+// closed spans and point events) and the -trace JSONL sink (closed spans
+// only). With neither installed, Start returns the inert zero Span after
+// one atomic load. The clock is injectable for deterministic tests; it is
+// held behind an atomic pointer so hot traced paths never contend on a
+// lock.
 type Tracer struct {
-	sink  atomic.Pointer[sinkBox]
+	mu    sync.Mutex // serializes output swaps
+	out   atomic.Pointer[outputs]
 	seq   atomic.Uint64
 	clock atomic.Pointer[clockBox]
 }
 
-type sinkBox struct{ s Sink }
+type outputs struct {
+	ring *Ring
+	sink *JSONLSink
+}
 
 type clockBox struct{ now func() time.Time }
 
-// NewTracer returns a tracer writing to sink (nil for off).
-func NewTracer(sink Sink) *Tracer {
+func newTracer() *Tracer {
 	t := &Tracer{}
 	t.clock.Store(&clockBox{now: time.Now})
-	t.SetSink(sink)
 	return t
 }
 
-// SetSink swaps the sink; nil turns tracing off.
-func (t *Tracer) SetSink(s Sink) {
-	if s == nil {
-		t.sink.Store(nil)
+// swap replaces one output, leaving the other as it is.
+func (t *Tracer) swap(set func(*outputs)) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var o outputs
+	if cur := t.out.Load(); cur != nil {
+		o = *cur
+	}
+	set(&o)
+	if o.ring == nil && o.sink == nil {
+		t.out.Store(nil)
 		return
 	}
-	t.sink.Store(&sinkBox{s: s})
+	t.out.Store(&o)
 }
 
 // SetNow injects a clock (tests); nil restores time.Now.
@@ -96,136 +79,105 @@ func (t *Tracer) SetNow(now func() time.Time) {
 	t.clock.Store(&clockBox{now: now})
 }
 
-func (t *Tracer) now() time.Time {
-	return t.clock.Load().now()
-}
-
 // Now reads the tracer's clock — time.Now unless a test injected one via
-// SetNow. Pipeline code measuring durations that end up as span attributes
+// SetNow. Pipeline code measuring durations that end up in span payloads
 // (the engine's question delay) must read this clock, not time.Now, so an
 // injected clock makes the whole trace byte-deterministic.
-func (t *Tracer) Now() time.Time { return t.now() }
-
-// Active reports whether a sink is installed.
-func (t *Tracer) Active() bool { return t.sink.Load() != nil }
+func (t *Tracer) Now() time.Time { return t.clock.Load().now() }
 
 // ResetSeq restarts span-id allocation at 1 — only for tests that compare
 // whole traces byte-for-byte across repeated runs on the same tracer.
 func (t *Tracer) ResetSeq() { t.seq.Store(0) }
 
-// Span is an in-progress operation. The zero Span (from a tracer with no
-// sink) is inert; End on it is a no-op.
+// Span is an in-progress operation: the event it will record when it
+// closes, with the payload known so far. The zero Span (from a tracer with
+// no outputs) is inert; End on it is a no-op.
 type Span struct {
-	tr     *Tracer
-	name   string
-	id     uint64
-	parent uint64
-	start  time.Time
-	attrs  []Attr
+	tr *Tracer
+	ev Event
 }
 
-// StartSpan opens a root span. The record is written when End is called, so
-// a sink sees spans in completion order. Callers on hot paths should guard
-// attribute-passing calls behind Tracer.Active (or obs.Tracing) — the
-// variadic slice is built before the call regardless of the sink.
-func (t *Tracer) StartSpan(name string, attrs ...Attr) Span {
-	return t.StartSpanUnder(0, name, attrs...)
-}
-
-// StartSpanUnder opens a span with an explicit parent span id — the way to
-// thread causality across a package boundary where only the id (not the
-// Span value) travels. Parent 0 makes a root. The disabled path is one
-// atomic load and allocation-free.
-func (t *Tracer) StartSpanUnder(parent uint64, name string, attrs ...Attr) Span {
-	if t.sink.Load() == nil {
+// start opens a span of kind k under parent (0 for a root) with a note and
+// the leading payload slots. While the span is open the ring holds its
+// begin mark, so a bundle captured mid-operation shows it. The disabled
+// path is one atomic load and allocation-free.
+func (t *Tracer) start(k Kind, parent uint64, note string, vals ...int) Span {
+	o := t.out.Load()
+	if o == nil {
 		return Span{}
 	}
-	return Span{
-		tr:     t,
-		name:   name,
-		id:     t.seq.Add(1),
-		parent: parent,
-		start:  t.now(),
-		attrs:  attrs,
+	s := Span{tr: t, ev: Event{Kind: k, Span: t.seq.Add(1), Parent: parent, StartUS: t.Now().UnixMicro(), Note: note}}
+	s.ev.add(vals)
+	if o.ring != nil {
+		mark := s.ev
+		mark.Open = true
+		o.ring.record(&mark)
 	}
+	return s
 }
 
 // Child opens a span whose parent is s. On an inert span it returns the
 // inert zero Span without touching the tracer, so a disabled call tree
 // stays allocation-free all the way down.
-func (s Span) Child(name string, attrs ...Attr) Span {
+func (s Span) Child(k Kind, vals ...int) Span {
 	if s.tr == nil {
 		return Span{}
 	}
-	return s.tr.StartSpanUnder(s.id, name, attrs...)
+	return s.tr.start(k, s.ev.Span, "", vals...)
 }
 
 // ID returns the span id (0 for an inert span) — what callees use as the
 // parent of spans they open on this span's behalf.
-func (s Span) ID() uint64 { return s.id }
+func (s Span) ID() uint64 { return s.ev.Span }
 
-// Live reports whether the span will write a record at End. Guard
-// attribute-building End calls with it, mirroring the obs.Tracing
-// convention for StartSpan.
-func (s Span) Live() bool { return s.tr != nil }
+// End closes the span, filling the payload slots after those given at
+// start, and records its event once: into the ring and the -trace sink.
+func (s Span) End(vals ...int) { s.EndNote("", vals...) }
 
-// End closes the span, appending any extra attributes, and writes its
-// record.
-func (s Span) End(extra ...Attr) {
+// EndNote is End that also sets the span's note when note is non-empty.
+func (s Span) EndNote(note string, vals ...int) {
 	if s.tr == nil {
 		return
 	}
-	box := s.tr.sink.Load()
-	if box == nil {
+	o := s.tr.out.Load()
+	if o == nil {
 		return
 	}
-	end := s.tr.now()
-	box.s.Write(Record{
-		Type:    "span",
-		Name:    s.name,
-		Span:    s.id,
-		Parent:  s.parent,
-		StartUS: s.start.UnixMicro(),
-		DurUS:   end.Sub(s.start).Microseconds(),
-		Attrs:   attrMap(s.attrs, extra),
-	})
+	e := s.ev
+	e.add(vals)
+	if note != "" {
+		e.Note = note
+	}
+	e.DurUS = s.tr.Now().UnixMicro() - e.StartUS
+	if o.ring != nil {
+		o.ring.record(&e)
+	}
+	if o.sink != nil {
+		o.sink.Write(e)
+	}
 }
 
-// Event writes a point event.
-func (t *Tracer) Event(name string, attrs ...Attr) {
-	box := t.sink.Load()
-	if box == nil {
+// point records a point event into the ring, if one is installed. It reads
+// the ring's own clock, never the injected tracer clock: point events fire
+// on worker goroutines, and reading a stepping test clock there would make
+// the span timestamps depend on scheduling.
+func (t *Tracer) point(k Kind, note string, vals []int) {
+	o := t.out.Load()
+	if o == nil || o.ring == nil {
 		return
 	}
-	box.s.Write(Record{
-		Type:    "event",
-		Name:    name,
-		StartUS: t.now().UnixMicro(),
-		Attrs:   attrMap(attrs, nil),
-	})
+	e := Event{Kind: k, StartUS: o.ring.nowUS(), Note: note}
+	e.add(vals)
+	o.ring.record(&e)
 }
 
-func attrMap(a, b []Attr) map[string]any {
-	if len(a)+len(b) == 0 {
-		return nil
-	}
-	m := make(map[string]any, len(a)+len(b))
-	for _, x := range a {
-		m[x.Key] = x.Val
-	}
-	for _, x := range b {
-		m[x.Key] = x.Val
-	}
-	return m
-}
-
-// JSONLSink writes one JSON object per record to an io.Writer (the -trace
-// file format). Records are buffered (a busy trace writes thousands of
-// sub-100-byte lines; one syscall each would dominate the sink), so owners
-// must call Flush before reading or closing the underlying writer — the
-// CLIs do so through obs.SetupCLI's flush function. Writes are serialized;
-// the first write error is retained and reported by Err, after which
-// further records are dropped.
+// JSONLSink writes one JSON object per closed span to an io.Writer (the
+// -trace file format). Records are buffered (a busy trace writes thousands
+// of sub-100-byte lines; one syscall each would dominate the sink), so
+// owners must call Flush before reading or closing the underlying writer —
+// the CLIs do so through obs.SetupCLI's flush function. Writes are
+// serialized; the first write error is retained and reported by Err, after
+// which further records are dropped.
 type JSONLSink struct {
 	mu  sync.Mutex
 	buf *bufio.Writer
@@ -239,14 +191,14 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 	return &JSONLSink{buf: buf, enc: json.NewEncoder(buf)}
 }
 
-// Write encodes the record as one JSON line.
-func (s *JSONLSink) Write(r Record) {
+// Write encodes the event as one JSON line.
+func (s *JSONLSink) Write(e Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
 		return
 	}
-	s.err = s.enc.Encode(r)
+	s.err = s.enc.Encode(e.Record())
 }
 
 // Flush forces buffered records onto the underlying writer and returns the
@@ -268,80 +220,119 @@ func (s *JSONLSink) Err() error {
 	return s.err
 }
 
-// MultiSink fans every record out to each sink in order — how the live
-// /tracez ring rides along with a -trace file.
-func MultiSink(sinks ...Sink) Sink { return multiSink(sinks) }
+// Ring is the fixed-size event ring buffer: the one in-memory record of
+// recent operations behind debug bundles, /tracez and kbbench's trace
+// section. Appends are a short critical section — stamp, copy into a
+// pre-allocated slot, advance — guarded by a mutex so concurrent writers
+// (point events fire from worker goroutines) and a concurrent bundle dump
+// always see whole events. No allocation happens after construction.
+type Ring struct {
+	base time.Time
 
-type multiSink []Sink
+	mu   sync.Mutex
+	buf  []Event
+	next int
+	full bool
+	seq  uint64
+}
 
-func (m multiSink) Write(r Record) {
-	for _, s := range m {
-		s.Write(r)
+// DefaultRingCapacity is the ring size used when none is given: enough to
+// hold the recent history of a long interactive session (hundreds of
+// questions, each a handful of events) in about a megabyte.
+const DefaultRingCapacity = 8192
+
+func newRing(capacity int, base time.Time) *Ring {
+	if capacity <= 0 {
+		capacity = DefaultRingCapacity
 	}
+	return &Ring{base: base, buf: make([]Event, capacity)}
 }
 
-// RingSink keeps the last N records in memory — the test sink, and a cheap
-// always-on flight recorder.
-type RingSink struct {
-	mu    sync.Mutex
-	buf   []Record
-	next  int
-	total uint64
+// nowUS reads the wall clock in Unix microseconds through the monotonic
+// offset from the ring's base — one clock read instead of time.Now's two.
+func (r *Ring) nowUS() int64 {
+	return r.base.UnixMicro() + time.Since(r.base).Microseconds()
 }
 
-// NewRingSink returns a ring of the given capacity (minimum 1).
-func NewRingSink(capacity int) *RingSink {
-	if capacity < 1 {
-		capacity = 1
+// record stamps and appends one event.
+func (r *Ring) record(e *Event) {
+	r.mu.Lock()
+	r.seq++
+	r.buf[r.next] = *e
+	r.buf[r.next].Seq = r.seq
+	r.next++
+	if r.next == len(r.buf) {
+		r.next = 0
+		r.full = true
 	}
-	return &RingSink{buf: make([]Record, 0, capacity)}
+	r.mu.Unlock()
 }
 
-// Write appends the record, evicting the oldest once full.
-func (s *RingSink) Write(r Record) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.total++
-	if len(s.buf) < cap(s.buf) {
-		s.buf = append(s.buf, r)
-		return
+// Events returns a copy of the retained events, oldest first.
+func (r *Ring) Events() []Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.full {
+		return append([]Event(nil), r.buf[:r.next]...)
 	}
-	s.buf[s.next] = r
-	s.next = (s.next + 1) % cap(s.buf)
+	out := make([]Event, 0, len(r.buf))
+	out = append(out, r.buf[r.next:]...)
+	return append(out, r.buf[:r.next]...)
 }
 
-// Records returns the retained records, oldest first.
-func (s *RingSink) Records() []Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Record, 0, len(s.buf))
-	out = append(out, s.buf[s.next:]...)
-	out = append(out, s.buf[:s.next]...)
-	return out
+// Total returns the number of events ever recorded (≥ len(Events()); the
+// difference is what the ring evicted).
+func (r *Ring) Total() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.seq
 }
 
-// Total returns the number of records ever written.
-func (s *RingSink) Total() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
+// Capacity returns the ring size.
+func (r *Ring) Capacity() int { return len(r.buf) }
+
+// BaseUS returns the wall-clock time, in Unix microseconds, the ring was
+// first enabled — the origin of the t_us offsets in a bundle.
+func (r *Ring) BaseUS() int64 { return r.base.UnixMicro() }
+
+// EnableRing installs a fresh process-wide ring of the given capacity (<= 0
+// uses DefaultRingCapacity) and returns it.
+func EnableRing(capacity int) *Ring {
+	r := newRing(capacity, time.Now())
+	defaultTracer.swap(func(o *outputs) { o.ring = r })
+	return r
 }
 
-// traceRing is the process-wide ring of recent trace records backing the
-// /tracez handler and the debug-bundle trace section. SetupCLI installs it
-// whenever any observability output is on.
-var traceRing atomic.Pointer[RingSink]
+// DisableRing removes the process-wide ring.
+func DisableRing() { defaultTracer.swap(func(o *outputs) { o.ring = nil }) }
 
-// TraceRing returns the live trace ring, or nil when none is installed.
-func TraceRing() *RingSink { return traceRing.Load() }
-
-// SetTraceRing installs (or, with nil, removes) the process-wide trace
-// ring. The ring must also be wired into the tracer's sink — SetupCLI does
-// both; tests installing a ring directly must too.
-func SetTraceRing(r *RingSink) {
-	if r == nil {
-		traceRing.Store(nil)
-		return
+// CurrentRing returns the process-wide ring, or nil.
+func CurrentRing() *Ring {
+	if o := defaultTracer.out.Load(); o != nil {
+		return o.ring
 	}
-	traceRing.Store(r)
+	return nil
+}
+
+// ResizeRing replaces the process-wide ring with one of the given capacity
+// (<= 0 uses DefaultRingCapacity), carrying over the retained events,
+// sequence numbering and time base, so events recorded before the resize —
+// flag parsing, KB load — stay in the dump. No-op when no ring is
+// installed.
+func ResizeRing(capacity int) {
+	defaultTracer.swap(func(o *outputs) {
+		if o.ring == nil {
+			return
+		}
+		events := o.ring.Events()
+		nw := newRing(capacity, o.ring.base)
+		if drop := len(events) - len(nw.buf); drop > 0 {
+			events = events[drop:]
+		}
+		copy(nw.buf, events)
+		nw.next = len(events) % len(nw.buf)
+		nw.full = len(events) == len(nw.buf)
+		nw.seq = o.ring.Total()
+		o.ring = nw
+	})
 }

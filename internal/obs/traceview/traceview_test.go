@@ -175,17 +175,22 @@ func TestWriteChromeNamesUnnamedRecords(t *testing.T) {
 }
 
 func TestRingRoundTrip(t *testing.T) {
-	// Records straight from a RingSink carry int64 attrs (no JSON round
-	// trip); the waterfall reader must decode them identically.
-	ring := obs.NewRingSink(64)
-	tr := obs.NewTracer(ring)
-	root := tr.StartSpan("inquiry.run")
-	q := root.Child("inquiry.question", obs.Int("q", 1), obs.Int("phase", 2))
-	c := q.Child("conflict.scan")
-	c.End()
-	q.End()
-	root.End()
-	f := ParseRecords(ring.Records())
+	// Records straight from the event ring carry int64 attrs (no JSON round
+	// trip); the waterfall reader must decode them identically. Begin marks
+	// and point events in the ring are not spans and must not show up.
+	ring := obs.EnableRing(64)
+	t.Cleanup(obs.DisableRing)
+	root := obs.StartNote(obs.KindInquiryRun, 0, "random", 10)
+	q := root.Child(obs.KindQuestion, 1, 2, 5)
+	c := q.Child(obs.KindConflictScan, 3, 1)
+	obs.Point(obs.KindHomoSearch, "", 2, 1, 1, 1)
+	c.End(4)
+	q.End(2, 30)
+	root.End(1, 1)
+	f := ParseRecords(obs.SpanRecords(ring.Events()))
+	if f.Spans() != 3 || len(f.Events) != 0 {
+		t.Fatalf("forest holds %d spans and %d events, want 3 and 0", f.Spans(), len(f.Events))
+	}
 	ws := f.Waterfalls()
 	if len(ws) != 1 || ws[0].Q != 1 || ws[0].Phase != 2 {
 		t.Fatalf("waterfalls = %+v", ws)
@@ -197,23 +202,21 @@ func TestRingRoundTrip(t *testing.T) {
 
 func TestTracezHandler(t *testing.T) {
 	// Without a ring the endpoint reports disabled rather than erroring.
-	obs.SetTraceRing(nil)
+	obs.DisableRing()
 	rec := httptest.NewRecorder()
 	TracezHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/tracez", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"enabled": false`) {
 		t.Fatalf("disabled tracez: code=%d body=%s", rec.Code, rec.Body.String())
 	}
 
-	ring := obs.NewRingSink(64)
-	tr := obs.NewTracer(ring)
-	root := tr.StartSpan("inquiry.run")
+	obs.EnableRing(64)
+	defer obs.DisableRing()
+	root := obs.StartNote(obs.KindInquiryRun, 0, "random")
 	for i := 1; i <= 3; i++ {
-		q := root.Child("inquiry.question", obs.Int("q", i))
+		q := root.Child(obs.KindQuestion, i)
 		q.End()
 	}
 	root.End()
-	obs.SetTraceRing(ring)
-	defer obs.SetTraceRing(nil)
 
 	rec = httptest.NewRecorder()
 	TracezHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/tracez?n=2", nil))

@@ -15,8 +15,8 @@ const DefaultTracezQuestions = 10
 // Tracez is the /tracez document: ring occupancy plus the K slowest recent
 // question waterfalls, slowest first.
 type Tracez struct {
-	// Enabled is false when no trace ring is installed (run with -trace to
-	// get one); the other fields are zero then.
+	// Enabled is false when no event ring is installed (-flight-events
+	// negative); the other fields are zero then.
 	Enabled       bool                `json:"enabled"`
 	RecordsTotal  uint64              `json:"records_total"`
 	SpansRetained int                 `json:"spans_retained"`
@@ -24,14 +24,14 @@ type Tracez struct {
 	Slowest       []QuestionWaterfall `json:"slowest,omitempty"`
 }
 
-// ReadTracez assembles the /tracez document from the process-wide trace
-// ring, showing the k slowest retained questions.
+// ReadTracez assembles the /tracez document from the closed spans in the
+// process-wide event ring, showing the k slowest retained questions.
 func ReadTracez(k int) Tracez {
-	ring := obs.TraceRing()
+	ring := obs.CurrentRing()
 	if ring == nil {
 		return Tracez{}
 	}
-	f := ParseRecords(ring.Records())
+	f := ParseRecords(obs.SpanRecords(ring.Events()))
 	ws := f.SlowestQuestions(-1)
 	t := Tracez{
 		Enabled:       true,

@@ -175,8 +175,9 @@ func (f *Forest) CriticalPath() []PathStep {
 // Digest is the compact trace section embedded in debug bundles: ring
 // occupancy plus the slowest recent question waterfalls.
 type Digest struct {
-	// RecordsTotal counts every record the ring ever saw; SpansRetained is
-	// how many span records survived in the ring at capture time.
+	// RecordsTotal counts every event the ring ever saw (begin marks and
+	// point events included); SpansRetained is how many closed spans
+	// survived in the ring at capture time.
 	RecordsTotal  uint64 `json:"records_total"`
 	SpansRetained int    `json:"spans_retained"`
 	// Questions is the number of question spans retained.
@@ -196,8 +197,9 @@ func (f *Forest) SlowestQuestions(k int) []QuestionWaterfall {
 	return ws
 }
 
-// BuildDigest summarizes a record stream (typically obs.TraceRing contents)
-// for embedding: counts plus the k slowest questions.
+// BuildDigest summarizes a span record stream (typically the closed spans
+// of the event ring, obs.SpanRecords) for embedding: counts plus the k
+// slowest questions.
 func BuildDigest(recs []obs.Record, total uint64, k int) *Digest {
 	f := ParseRecords(recs)
 	d := &Digest{RecordsTotal: total, SpansRetained: f.Spans()}

@@ -39,7 +39,6 @@ import (
 	"sync/atomic"
 
 	"kbrepair/internal/obs"
-	"kbrepair/internal/obs/flight"
 )
 
 // Pool instrumentation: tasks executed and the configured pool size.
@@ -99,7 +98,7 @@ func Configure(n *int) { SetWorkers(*n) }
 // sequential baseline.
 //
 // label names the call site ("core.pi", "conflict.scan", …); it becomes
-// the note of the par.dispatch flight event, so a debug bundle shows which
+// the note of the par.dispatch ring event, so a debug bundle shows which
 // fan-out dispatched. It changes no execution behavior.
 //
 // If any task panics, MapNamed panics on the calling goroutine with the
@@ -123,9 +122,9 @@ func MapNamed[T any](label string, n int, fn func(i int) T) []T {
 		}
 		return out
 	}
-	// Only true fan-outs are flight-recorded; inline runs would flood the
+	// Only true fan-outs are recorded; inline runs would flood the
 	// ring with events that carry no scheduling information.
-	flight.RecordNote(flight.KindParDispatch, int64(n), int64(w), 0, label)
+	obs.Point(obs.KindParDispatch, label, n, w)
 	var (
 		next     atomic.Int64
 		wg       sync.WaitGroup

@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"kbrepair/internal/obs/flight"
+	"kbrepair/internal/obs"
 )
 
 // withWorkers pins the pool size for the duration of a test.
@@ -165,27 +165,27 @@ func TestDoRefreshesWorkersGauge(t *testing.T) {
 }
 
 // TestMapNamedMatchesMap checks that a true fan-out returns its results
-// in task order and names its call site in the par.dispatch flight event.
+// in task order and names its call site in the par.dispatch ring event.
 func TestMapNamedMatchesMap(t *testing.T) {
 	withWorkers(t, 4)
-	flight.Enable(64)
-	t.Cleanup(flight.Disable)
+	ring := obs.EnableRing(64)
+	t.Cleanup(obs.DisableRing)
 	got := MapNamed("test.map", 16, func(i int) int { return i * 3 })
 	for i, v := range got {
 		if v != i*3 {
 			t.Fatalf("slot %d = %d", i, v)
 		}
 	}
-	var dispatches []flight.Event
-	for _, e := range flight.Current().Events() {
-		if e.Kind == flight.KindParDispatch {
+	var dispatches []obs.Event
+	for _, e := range ring.Events() {
+		if e.Kind == obs.KindParDispatch {
 			dispatches = append(dispatches, e)
 		}
 	}
 	if len(dispatches) != 1 {
 		t.Fatalf("%d par.dispatch events, want 1", len(dispatches))
 	}
-	if e := dispatches[0]; e.N1 != 16 || e.N2 != 4 || e.Note != "test.map" {
+	if e := dispatches[0]; e.N[0] != 16 || e.N[1] != 4 || e.Note != "test.map" {
 		t.Fatalf("par.dispatch = %+v, want tasks 16, workers 4, note test.map", e)
 	}
 }
