@@ -11,6 +11,7 @@
 //	kbbench -exp fig3 -metrics m.json -trace t.jsonl   # with observability
 //	kbbench -exp fig3 -scale 0.1 -json BENCH.json      # machine-readable baseline
 //	kbbench -exp fig3 -scale 0.1 -baseline BENCH.json  # regression gate
+//	kbbench -exp fig3 -scale 0.25 -cpuprofile cpu.out  # CPU profile of the run
 package main
 
 import (
@@ -19,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 
 	"kbrepair/internal/durum"
 	"kbrepair/internal/exp"
@@ -44,6 +46,7 @@ func main() {
 		threshold = flag.Float64("threshold", 1.25, "regression threshold for -baseline: fail when new mean > old mean x this")
 		regressOK = flag.Bool("regress-ok", false, "with -baseline: report regressions but exit zero (CI report-only mode)")
 		plnCheck  = flag.Bool("plans-check", false, "with -json/-baseline: fail unless every profiled body carries a compiled-plan annotation (the bench-plans-smoke gate)")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof format)")
 	)
 	obsCfg := obs.AddFlags(flag.CommandLine)
 	flightCfg := flight.AddFlags(flag.CommandLine)
@@ -74,6 +77,11 @@ func main() {
 	// per-rule attribution; plain table runs skip its memory cost.
 	obs.SetAttrEnabled(benching || obsCfg.Enabled())
 
+	stopProfile, err := startCPUProfile(*cpuProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "kbbench: -cpuprofile:", err)
+		os.Exit(1)
+	}
 	out := bufio.NewWriter(os.Stdout)
 	runErr := run(out, *which, *scale, *reps, *seed)
 	if runErr == nil && obsCfg.Enabled() {
@@ -97,6 +105,9 @@ func main() {
 	} else if *plnCheck && runErr == nil {
 		runErr = fmt.Errorf("-plans-check requires -json or -baseline")
 	}
+	if err := stopProfile(); err != nil && runErr == nil {
+		runErr = fmt.Errorf("-cpuprofile: %w", err)
+	}
 	if err := out.Flush(); err != nil && runErr == nil {
 		runErr = fmt.Errorf("writing output: %w", err)
 	}
@@ -110,6 +121,27 @@ func main() {
 		fmt.Fprintln(os.Stderr, "kbbench:", runErr)
 		os.Exit(1)
 	}
+}
+
+// startCPUProfile starts a CPU profile written to path and returns the
+// function that stops it and closes the file. An empty path profiles
+// nothing.
+func startCPUProfile(path string) (stop func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
 }
 
 // benchBaseline writes the machine-readable report and, when a baseline is

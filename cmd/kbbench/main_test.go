@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -115,6 +117,36 @@ func TestBenchBaselineMissingFile(t *testing.T) {
 	var out strings.Builder
 	if err := benchBaseline(&out, reportWithMean(0.01), "", "/nonexistent/BENCH.json", 1.25, false); err == nil {
 		t.Fatal("missing baseline accepted")
+	}
+}
+
+// -cpuprofile writes a gzip-compressed pprof profile covering the run, and
+// an unwritable path is an error before anything runs.
+func TestCPUProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.out")
+	stop, err := startCPUProfile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(io.Discard, "fig4a", 0.02, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, []byte{0x1f, 0x8b}) {
+		t.Errorf("profile is not gzip-compressed pprof data (%d bytes)", len(data))
+	}
+	if _, err := startCPUProfile("/nonexistent/dir/cpu.out"); err == nil {
+		t.Error("unwritable -cpuprofile path accepted")
+	}
+	stop, err = startCPUProfile("")
+	if err != nil || stop() != nil {
+		t.Errorf("empty path: err=%v", err)
 	}
 }
 

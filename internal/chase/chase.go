@@ -40,9 +40,9 @@ var (
 	// gRound is the live-progress gauge read back by /statusz: the round
 	// the chase currently in flight is on, reset to 0 when the run ends so
 	// an idle process never reports the previous run's round forever.
-	// Within one run only the round loop writes it; concurrent *runs* (the
-	// Π-check workers each chase a candidate store) overwrite each other
-	// last-writer-wins, which is fine for a dashboard.
+	// Within one run only the round loop writes it; concurrent *runs* on
+	// different stores overwrite each other last-writer-wins, which is fine
+	// for a dashboard.
 	gRound = obs.NewGauge(obs.StatusChaseRound)
 )
 
@@ -195,10 +195,10 @@ type Options struct {
 	// under (0 for a root span) — how callers attribute chase time to the
 	// question or scan that triggered it.
 	TraceParent uint64
-	// TraceQuiet suppresses the run's trace spans entirely. The Π-check
-	// worker pool sets it: spans emitted from concurrent workers would
-	// interleave nondeterministically in the trace, so those chases stay
-	// silent and their time is attributed at the batch level instead.
+	// TraceQuiet suppresses the run's trace spans entirely. The Π-checker
+	// sets it: one SOUNDQUESTION runs a chase per candidate fix, and a span
+	// per check would swamp the trace, so those chases stay silent and
+	// their time is attributed at the batch level instead.
 	TraceQuiet bool
 }
 
@@ -222,10 +222,10 @@ func (o Options) maxRounds() int {
 // CDD bodies and the memoized ⊥-rules — against a representative store.
 //
 // The join order of a plan binds at its first compile, so this must run at a
-// deterministic sequential point before any parallel fan-out can compile as
-// a side effect: the Π-check worker pool chases clone stores that differ by
-// the fix under test, and letting the first compile race there would tie the
-// chosen order (and the resulting node counts) to worker scheduling.
+// deterministic sequential point on representative data, before any
+// parallel fan-out can compile as a side effect and before the Π-checker
+// chases its Π-nulled instance, whose unique nulls would make every
+// non-Π position look perfectly selective to the orderer.
 func PrecompilePlans(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD) {
 	rules := tgds
 	if len(cdds) > 0 {
@@ -245,25 +245,29 @@ func PrecompilePlans(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD) {
 
 // Run computes the restricted chase of the base store under the given TGDs.
 // The base store is not modified; the result store is a clone extended with
-// derived facts. A trigger (rule, body homomorphism) fires only if the head
-// is not already satisfied by an extension of the frontier bindings — the
-// standard-chase applicability condition that guarantees termination on
-// weakly-acyclic rule sets.
+// derived facts. Run is the one caller of the chase that returns a chased
+// store, so it is the one that pays for the copy; the consistency checks
+// chase their input in place. A trigger (rule, body homomorphism) fires
+// only if the head is not already satisfied by an extension of the frontier
+// bindings — the standard-chase applicability condition that guarantees
+// termination on weakly-acyclic rule sets.
 func Run(base *store.Store, tgds []*logic.TGD, opts Options) (*Result, error) {
-	return run(base, tgds, opts, "")
+	return run(base.Clone(), tgds, opts, "")
 }
 
-// run is the shared engine. If abortPred is non-empty, the chase stops as
-// soon as a fact with that predicate is derived (used by the ⊥ optimization).
-func run(base *store.Store, tgds []*logic.TGD, opts Options, abortPred string) (*Result, error) {
+// run is the shared engine. It chases s in place: derived facts are
+// appended to s, and the result's Store is s itself. If abortPred is
+// non-empty, the chase stops as soon as a fact with that predicate is
+// derived (used by the ⊥ optimization).
+func run(s *store.Store, tgds []*logic.TGD, opts Options, abortPred string) (*Result, error) {
 	mRuns.Inc()
 	tm := obs.StartTimer()
 	defer mRunTime.Since(tm)
 	var sp obs.Span
 	if !opts.TraceQuiet {
-		sp = obs.Start(obs.KindChaseRun, opts.TraceParent, base.Len(), len(tgds))
+		sp = obs.Start(obs.KindChaseRun, opts.TraceParent, s.Len(), len(tgds))
 	}
-	res, err := chaseLoop(base, tgds, opts, abortPred, sp)
+	res, err := chaseLoop(s, tgds, opts, abortPred, sp)
 	sp.End(res.Rounds, len(res.Prov))
 	return res, err
 }
@@ -292,10 +296,10 @@ func run(base *store.Store, tgds []*logic.TGD, opts Options, abortPred string) (
 // or under TraceQuiet): each round is a chase.round child, so a slow chase
 // decomposes round-by-round in the waterfall, and a bundle captured
 // mid-round shows the open round.
-func chaseLoop(base *store.Store, tgds []*logic.TGD, opts Options, abortPred string, sp obs.Span) (*Result, error) {
+func chaseLoop(s *store.Store, tgds []*logic.TGD, opts Options, abortPred string, sp obs.Span) (*Result, error) {
 	res := &Result{
-		Store:   base.Clone(),
-		BaseLen: base.Len(),
+		Store:   s,
+		BaseLen: s.Len(),
 		Prov:    make(map[store.FactID]Derivation),
 	}
 	if len(tgds) == 0 {
@@ -305,7 +309,6 @@ func chaseLoop(base *store.Store, tgds []*logic.TGD, opts Options, abortPred str
 	// the process is idle again and /statusz must not keep reporting the
 	// last round forever.
 	defer gRound.Set(0)
-	s := res.Store
 
 	// Round 0 works on all facts; later rounds only consider triggers that
 	// involve at least one fact from the previous round's delta.
@@ -442,15 +445,16 @@ func collectTriggers(s *store.Store, plan *homo.Plan, all bool, deltaSet map[sto
 
 // IsConsistentNaive runs the full chase and then evaluates every CDD body on
 // the chased store — the paper's CheckConsistency. It returns whether the KB
-// is consistent.
-func IsConsistentNaive(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts Options) (bool, error) {
-	res, err := Run(base, tgds, opts)
-	if err != nil {
+// is consistent. Like IsConsistentOpt it chases s in place and truncates the
+// derived facts before returning, so it needs exclusive write access to s.
+func IsConsistentNaive(s *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts Options) (bool, error) {
+	defer s.Truncate(s.Len())
+	if _, err := run(s, tgds, opts, ""); err != nil {
 		return false, err
 	}
 	for _, c := range cdds {
 		if homo.CachedPlanWith(homo.CacheKey{Owner: c, Tag: homo.TagBody}, c.Body,
-			homo.CompileOpts{Stats: res.Store}).Exists(res.Store) {
+			homo.CompileOpts{Stats: s}).Exists(s) {
 			return false, nil
 		}
 	}
@@ -542,11 +546,17 @@ func RelevantTGDs(tgds []*logic.TGD, cdds []*logic.CDD) []*logic.TGD {
 // IsConsistentOpt is CheckConsistency-Opt: it chases with CDDs compiled to
 // ⊥-rules — restricted to the TGDs relevant to the CDDs — and stops as
 // early as possible. It returns whether the KB is consistent.
-func IsConsistentOpt(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts Options) (bool, error) {
+//
+// The chase runs on s in place, with no copy: derived facts are appended
+// to s and truncated away again on every return path (consistent, ⊥-abort,
+// error, ErrBudget), so s holds exactly its input facts afterwards. The
+// call therefore needs exclusive write access to s — no concurrent reader
+// may see the transient derived facts.
+func IsConsistentOpt(s *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opts Options) (bool, error) {
 	// Fast path: a CDD already violated by the base facts needs no chase.
 	for _, c := range cdds {
 		if homo.CachedPlanWith(homo.CacheKey{Owner: c, Tag: homo.TagBody}, c.Body,
-			homo.CompileOpts{Stats: base}).Exists(base) {
+			homo.CompileOpts{Stats: s}).Exists(s) {
 			return false, nil
 		}
 	}
@@ -555,11 +565,11 @@ func IsConsistentOpt(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, op
 		return true, nil
 	}
 	rules := append(append([]*logic.TGD(nil), tgds...), CompileBottom(cdds)...)
-	res, err := run(base, rules, opts, BottomPred)
-	if err != nil {
+	defer s.Truncate(s.Len())
+	if _, err := run(s, rules, opts, BottomPred); err != nil {
 		return false, err
 	}
-	return len(res.Store.ByPredicate(BottomPred)) == 0, nil
+	return len(s.ByPredicate(BottomPred)) == 0, nil
 }
 
 // Answers computes the certain answers of a conjunctive query (body with

@@ -289,6 +289,9 @@ func TestCompileBottom(t *testing.T) {
 	if err := rules[0].Validate(); err != nil {
 		t.Errorf("compiled rule invalid: %v", err)
 	}
+	if again := CompileBottom(cdds); again[0] != rules[0] {
+		t.Error("CompileBottom is not memoized per CDD")
+	}
 }
 
 func TestAnswers(t *testing.T) {
@@ -435,5 +438,73 @@ func TestExplain(t *testing.T) {
 	}
 	if !strings.Contains(res2.Explain(qid), "[tgd]") {
 		t.Error("unlabeled rule not rendered")
+	}
+}
+
+// The consistency checks chase their input in place and truncate the
+// derived facts on every return path: after a consistent run, a ⊥-abort and
+// an ErrBudget exit, the input must equal a clone taken before the call,
+// with its indexes intact and no derived predicate left behind.
+func TestConsistencyChecksLeaveInputUnchanged(t *testing.T) {
+	consistent, tgds, cdds := fig1b(t)
+	consistent.MustSetValue(store.Position{Fact: 1, Arg: 0}, logic.C("Mike"))
+	consistent.MustSetValue(store.Position{Fact: 3, Arg: 0}, logic.C("Mary"))
+	chaseOnly := store.MustFromAtoms([]logic.Atom{
+		logic.NewAtom("prescribed", logic.C("Aspirin"), logic.C("John")),
+		logic.NewAtom("hasPain", logic.C("John"), logic.C("Migraine")),
+		logic.NewAtom("isPainKillerFor", logic.C("Nsaids"), logic.C("Migraine")),
+		logic.NewAtom("incompatible", logic.C("Aspirin"), logic.C("Nsaids")),
+	})
+	// p(X,Y) → p(Y,Z) never terminates; the CDD makes it relevant.
+	loop := []*logic.TGD{logic.MustTGD(
+		[]logic.Atom{logic.NewAtom("p", logic.V("X"), logic.V("Y"))},
+		[]logic.Atom{logic.NewAtom("p", logic.V("Y"), logic.V("Z"))},
+	)}
+	loopCDD := []*logic.CDD{logic.MustCDD([]logic.Atom{
+		logic.NewAtom("p", logic.V("X"), logic.V("Y")),
+		logic.NewAtom("q", logic.V("Y")),
+	})}
+	budget := store.MustFromAtoms([]logic.Atom{
+		logic.NewAtom("p", logic.C("a"), logic.C("b")),
+		logic.NewAtom("q", logic.C("c")),
+	})
+	cases := []struct {
+		name    string
+		s       *store.Store
+		tgds    []*logic.TGD
+		cdds    []*logic.CDD
+		opts    Options
+		want    bool
+		wantErr error
+	}{
+		{"consistent", consistent, tgds, cdds, Options{}, true, nil},
+		{"bottom-abort", chaseOnly, tgds, cdds[1:], Options{}, false, nil},
+		{"budget", budget, loop, loopCDD, Options{MaxDerived: 50}, false, ErrBudget},
+	}
+	for _, c := range cases {
+		for name, check := range map[string]func(*store.Store, []*logic.TGD, []*logic.CDD, Options) (bool, error){
+			"naive": IsConsistentNaive,
+			"opt":   IsConsistentOpt,
+		} {
+			before := c.s.Clone()
+			preds := c.s.Predicates()
+			ok, err := check(c.s, c.tgds, c.cdds, c.opts)
+			if c.wantErr != nil {
+				if !errors.Is(err, c.wantErr) {
+					t.Errorf("%s/%s: err = %v, want %v", c.name, name, err, c.wantErr)
+				}
+			} else if err != nil || ok != c.want {
+				t.Errorf("%s/%s: got (%v, %v), want (%v, nil)", c.name, name, ok, err, c.want)
+			}
+			if !c.s.Equal(before) {
+				t.Errorf("%s/%s: input store changed:\n%s\nwant:\n%s", c.name, name, c.s, before)
+			}
+			if err := c.s.CheckInvariants(); err != nil {
+				t.Errorf("%s/%s: %v", c.name, name, err)
+			}
+			if got := c.s.Predicates(); !reflect.DeepEqual(got, preds) {
+				t.Errorf("%s/%s: predicates %v, want %v", c.name, name, got, preds)
+			}
+		}
 	}
 }

@@ -34,8 +34,8 @@ var (
 	mUpdateTime = obs.NewHistogram("conflict.update_seconds", obs.LatencyBuckets)
 )
 
-// attrPinned counts tracker pinned-plan scans per CDD; it has no global
-// total.
+// attrPinned counts pinned-plan scans per CDD — tracker updates and the
+// Π-checker's delta checks alike (see Pinned.Each); it has no global total.
 var attrPinned = obs.NewRuleOnlyCounter("conflict.pinned_scans")
 
 // AttrID resolves (and caches) the attribution ID of a CDD, keyed by its

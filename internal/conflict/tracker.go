@@ -27,15 +27,102 @@ type Tracker struct {
 	// kept parallel to the conflicts.
 	ordered     []*Conflict
 	orderedKeys []string
+	// pin is the pinned-seed search Update re-evaluates CDDs with.
+	pin *Pinned
+}
+
+// Pinned is the pinned-seed CDD search of §5's UpdateConflicts. After one
+// fact changes, every CDD-body homomorphism the change created maps some
+// body atom onto that fact, so re-checking means binding each body atom
+// that can map onto the fact and searching the rest of the body from
+// there — never re-scanning whole bodies. The tracker re-syncs its
+// conflict set with it; the Π-checker decides CDD-only fixes with it.
+type Pinned struct {
+	cdds []*logic.CDD
 	// byPred maps a predicate name to the indexes of CDDs mentioning it in
 	// their body (the Σ_C^A of §5, at predicate granularity).
 	byPred map[string][]int
-	// pinPlans[ci][ai] is the compiled body-minus-atom-ai conjunction of
-	// CDD ci, precomputed so Update's hot path never touches the plan
-	// cache. Plans are seed-specialized: the pinned atom's variables are
-	// pre-bound slots, so the orderer costs the rest-conjunction under the
-	// bindings every pinned search actually starts with.
-	pinPlans [][]*homo.Plan
+	// plans[ci][ai] is the compiled body-minus-atom-ai conjunction of CDD
+	// ci, precomputed so the hot path never touches the plan cache. Plans
+	// are seed-specialized: the pinned atom's variables are pre-bound
+	// slots, so the orderer costs the rest-conjunction under the bindings
+	// every pinned search actually starts with.
+	plans [][]*homo.Plan
+}
+
+// NewPinned prepares the pinned-seed search for the CDDs, compiling its
+// plans against stats if they are not cached yet.
+func NewPinned(cdds []*logic.CDD, stats *store.Store) *Pinned {
+	p := &Pinned{cdds: cdds, byPred: make(map[string][]int), plans: make([][]*homo.Plan, len(cdds))}
+	for i, c := range cdds {
+		seen := make(map[string]bool)
+		for _, a := range c.Body {
+			if !seen[a.Pred] {
+				seen[a.Pred] = true
+				p.byPred[a.Pred] = append(p.byPred[a.Pred], i)
+			}
+		}
+		// Pinned plans are pure functions of (cdd, atom index, prebound
+		// set), so they go through the process-wide cache and are shared
+		// across trackers and checkers.
+		p.plans[i] = make([]*homo.Plan, len(c.Body))
+		for ai := range c.Body {
+			rest := make([]logic.Atom, 0, len(c.Body)-1)
+			for j, a := range c.Body {
+				if j != ai {
+					rest = append(rest, a)
+				}
+			}
+			var pre []logic.Term
+			for _, arg := range c.Body[ai].Args {
+				if arg.IsVar() && !containsTerm(pre, arg) {
+					pre = append(pre, arg)
+				}
+			}
+			p.plans[i][ai] = homo.CachedPlanWith(
+				homo.CacheKey{Owner: c, Tag: homo.TagPinned + ai}, rest,
+				homo.CompileOpts{Stats: stats, Prebound: pre})
+		}
+	}
+	return p
+}
+
+// Each runs the pinned-seed search for fact id of s: every body atom ai of
+// every CDD ci that can map onto the fact is bound to it, and the rest of
+// the body is searched from there. Each calls fn for every homomorphism
+// found, with seed holding the pinned atom's bindings and m the match of
+// the other body atoms (in body order, valid only during the call), and
+// reports whether it found any. With a nil fn it stops at the first.
+func (p *Pinned) Each(s *store.Store, id store.FactID, fn func(ci, ai int, seed logic.Subst, m homo.Match)) bool {
+	atom := s.FactRef(id)
+	hit := false
+	for _, ci := range p.byPred[atom.Pred] {
+		cdd := p.cdds[ci]
+		for ai, ba := range cdd.Body {
+			if ba.Pred != atom.Pred || len(ba.Args) != len(atom.Args) {
+				continue
+			}
+			seed, ok := bindAtom(ba, atom)
+			if !ok {
+				continue
+			}
+			if obs.AttrEnabled() {
+				attrPinned.AddFor(AttrID(cdd), 1)
+			}
+			if fn == nil {
+				if p.plans[ci][ai].ExistsSeeded(s, seed) {
+					return true
+				}
+				continue
+			}
+			p.plans[ci][ai].ForEachSeeded(s, seed, func(m homo.Match) bool {
+				hit = true
+				fn(ci, ai, seed, m)
+				return true
+			})
+		}
+	}
+	return hit
 }
 
 // NewTracker computes the initial naive conflicts of the store and prepares
@@ -54,38 +141,7 @@ func NewTrackerUnder(parent uint64, base *store.Store, cdds []*logic.CDD) *Track
 		cdds:      cdds,
 		conflicts: make(map[string]*Conflict),
 		byFact:    make(map[store.FactID]map[string]bool),
-		byPred:    make(map[string][]int),
-	}
-	t.pinPlans = make([][]*homo.Plan, len(cdds))
-	for i, c := range cdds {
-		seen := make(map[string]bool)
-		for _, a := range c.Body {
-			if !seen[a.Pred] {
-				seen[a.Pred] = true
-				t.byPred[a.Pred] = append(t.byPred[a.Pred], i)
-			}
-		}
-		// Pinned plans are pure functions of (cdd, atom index, prebound
-		// set), so they go through the process-wide cache and are shared
-		// across trackers.
-		t.pinPlans[i] = make([]*homo.Plan, len(c.Body))
-		for ai := range c.Body {
-			rest := make([]logic.Atom, 0, len(c.Body)-1)
-			for j, a := range c.Body {
-				if j != ai {
-					rest = append(rest, a)
-				}
-			}
-			var pre []logic.Term
-			for _, arg := range c.Body[ai].Args {
-				if arg.IsVar() && !containsTerm(pre, arg) {
-					pre = append(pre, arg)
-				}
-			}
-			t.pinPlans[i][ai] = homo.CachedPlanWith(
-				homo.CacheKey{Owner: c, Tag: homo.TagPinned + ai}, rest,
-				homo.CompileOpts{Stats: base, Prebound: pre})
-		}
+		pin:       NewPinned(cdds, base),
 	}
 	for _, c := range AllNaiveUnder(parent, base, cdds) {
 		t.add(c)
@@ -167,36 +223,9 @@ func (t *Tracker) UpdateUnder(parent uint64, id store.FactID) {
 	for k := range t.byFact[id] {
 		t.remove(k)
 	}
-	atom := t.base.FactRef(id)
 	var added int
-	for _, ci := range t.byPred[atom.Pred] {
+	t.pin.Each(t.base, id, func(ci, ai int, seed logic.Subst, m homo.Match) {
 		cdd := t.cdds[ci]
-		for ai, ba := range cdd.Body {
-			if ba.Pred != atom.Pred || len(ba.Args) != len(atom.Args) {
-				continue
-			}
-			// Pin body atom ai onto the updated fact: bind its variables
-			// against the fact, then search the remaining atoms.
-			seed, ok := bindAtom(ba, atom)
-			if !ok {
-				continue
-			}
-			added += t.addPinned(id, ci, ai, seed)
-		}
-	}
-	sp.End(removed, added)
-}
-
-// addPinned runs the pinned-seed homomorphism search of CDD ci with body
-// atom ai mapped onto fact id, adds every conflict it witnesses and
-// returns how many it found.
-func (t *Tracker) addPinned(id store.FactID, ci, ai int, seed logic.Subst) int {
-	cdd := t.cdds[ci]
-	if obs.AttrEnabled() {
-		attrPinned.AddFor(AttrID(cdd), 1)
-	}
-	var found int
-	t.pinPlans[ci][ai].ForEachSeeded(t.base, seed, func(m homo.Match) bool {
 		facts := make([]store.FactID, 0, len(cdd.Body))
 		ri := 0
 		for j := range cdd.Body {
@@ -219,10 +248,9 @@ func (t *Tracker) addPinned(id store.FactID, ci, ai int, seed logic.Subst) int {
 			BaseFacts: dedupIDs(facts),
 			Direct:    true,
 		})
-		found++
-		return true
+		added++
 	})
-	return found
+	sp.End(removed, added)
 }
 
 // bindAtom unifies a body atom pattern against a ground fact, returning the

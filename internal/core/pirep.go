@@ -2,12 +2,13 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
+	"sort"
+	"strconv"
 
 	"kbrepair/internal/chase"
+	"kbrepair/internal/conflict"
 	"kbrepair/internal/logic"
 	"kbrepair/internal/obs"
-	"kbrepair/internal/par"
 	"kbrepair/internal/store"
 )
 
@@ -62,25 +63,84 @@ func (pi Pi) Add(p Position) { pi[p] = true }
 // Has reports membership.
 func (pi Pi) Has(p Position) bool { return pi[p] }
 
-// nulledCopy builds the Algorithm 1 instance in one pass: a store with the
-// same fact ids where every position outside Π holds a fresh existential
-// variable and Π positions keep their values.
-func nulledCopy(facts *store.Store, pi Pi) *store.Store {
-	out := store.New()
-	// Never allocate a null label the source store may already contain (at
-	// a Π position) or may already have handed out as a candidate fix
-	// value — a label collision would fabricate joins.
-	out.ReserveNulls(facts.NullSeq())
+// piInstance is the Algorithm 1 instance of a fact store under a Π: a store
+// with the same fact ids in which every position outside Π holds a unique
+// null of the instance's own namespace and every Π position holds its value
+// in the source store.
+type piInstance struct {
+	src    *store.Store // the fact store the instance mirrors
+	s      *store.Store
+	pinned Pi  // positions currently holding their source value
+	nulls  int // labels handed out so far
+}
+
+// newPiInstance builds the instance of facts under pi in one pass.
+func newPiInstance(facts *store.Store, pi Pi) *piInstance {
+	in := &piInstance{src: facts, s: store.New(), pinned: NewPi()}
 	for _, id := range facts.IDs() {
 		a := facts.Fact(id)
 		for i := range a.Args {
-			if !pi.Has(Position{Fact: id, Arg: i}) {
-				a.Args[i] = out.FreshNull()
+			if p := (Position{Fact: id, Arg: i}); pi.Has(p) {
+				in.pinned.Add(p)
+			} else {
+				a.Args[i] = in.fresh()
 			}
 		}
-		out.MustAdd(a)
+		in.s.MustAdd(a)
 	}
-	return out
+	return in
+}
+
+// fresh returns a new null of the instance's namespace. No other source of
+// nulls can produce its "pi#<k>" label shape: the parser's _:label syntax
+// reads '#' as the start of a comment, store.FreshNull mints "n<digits>"
+// and store.CoordNullLabel "n<round>r<rule>t<trig>x<ex>". So the nulls
+// minted into kb.Facts between questions (candidate fix values) never
+// collide with the instance's own, however long the instance lives.
+func (in *piInstance) fresh() logic.Term {
+	in.nulls++
+	return logic.N("pi#" + strconv.Itoa(in.nulls))
+}
+
+// sync patches the instance to pi by the Π delta: positions that left Π
+// get a brand-new null, and Π positions whose value differs from the
+// source store are set to it. Both deltas are applied in position order,
+// so the instance's history — and with it every index list order — is a
+// function of the session, not of map iteration.
+func (in *piInstance) sync(pi Pi) {
+	var left, set []Position
+	for p := range in.pinned {
+		if !pi.Has(p) {
+			left = append(left, p)
+		}
+	}
+	for p := range pi {
+		if !in.src.Valid(p.Fact) || p.Arg < 0 || p.Arg >= in.src.Arity(p.Fact) {
+			continue
+		}
+		if !in.pinned.Has(p) || in.s.Value(p) != in.src.Value(p) {
+			set = append(set, p)
+		}
+	}
+	sortPositions(left)
+	for _, p := range left {
+		delete(in.pinned, p)
+		in.s.MustSetValue(p, in.fresh())
+	}
+	sortPositions(set)
+	for _, p := range set {
+		in.pinned.Add(p)
+		in.s.MustSetValue(p, in.src.Value(p))
+	}
+}
+
+func sortPositions(ps []Position) {
+	sort.Slice(ps, func(i, j int) bool {
+		if ps[i].Fact != ps[j].Fact {
+			return ps[i].Fact < ps[j].Fact
+		}
+		return ps[i].Arg < ps[j].Arg
+	})
 }
 
 // PiRepairable implements Algorithm 1 (Π-REP): every position outside Π is
@@ -88,18 +148,21 @@ func nulledCopy(facts *store.Store, pi Pi) *store.Store {
 // for consistency. K is Π-repairable iff that KB is consistent
 // (Proposition 3.8). The input KB is not modified.
 func PiRepairable(kb *KB, pi Pi) (bool, error) {
-	return chase.IsConsistentOpt(nulledCopy(kb.Facts, pi), kb.TGDs, kb.CDDs, kb.ChaseOpts)
+	return chase.IsConsistentOpt(newPiInstance(kb.Facts, pi).s, kb.TGDs, kb.CDDs, kb.ChaseOpts)
 }
 
 // PiRepairableNaive is Algorithm 1 with the unoptimized consistency check
 // (full chase, then CDD evaluation). Kept for the ablation benchmarks.
 func PiRepairableNaive(kb *KB, pi Pi) (bool, error) {
-	return chase.IsConsistentNaive(nulledCopy(kb.Facts, pi), kb.TGDs, kb.CDDs, kb.ChaseOpts)
+	return chase.IsConsistentNaive(newPiInstance(kb.Facts, pi).s, kb.TGDs, kb.CDDs, kb.ChaseOpts)
 }
 
 // PiChecker performs the repeated Π-repairability checks of question
-// generation, with the Π-RepOpt fast path of §5. Create one per KB/session;
-// it caches the set of constants appearing in the rules.
+// generation, with the Π-RepOpt fast path of §5. Create one per KB/session:
+// it caches the set of constants appearing in the rules, and it keeps one
+// Π-nulled instance for the whole session, patched by Π deltas at the start
+// of each batch instead of rebuilt per question. A PiChecker is not safe
+// for concurrent use, and kb.Facts must not change during a CheckBatch.
 type PiChecker struct {
 	kb        *KB
 	ruleConst map[logic.Term]bool
@@ -109,34 +172,42 @@ type PiChecker struct {
 	// for the ablation benchmarks).
 	FastHits   int
 	FullChecks int
+	// inst is the persistent Π-nulled instance (nil until the first full
+	// check).
+	inst *piInstance
+	// pin is the pinned-seed CDD search of the delta check, nil when some
+	// TGD is relevant to the CDDs (then every fix runs the full check).
+	pin *conflict.Pinned
 	// cause is the attribution ID of the CDD whose conflict caused the
-	// current batch (obs.None when unknown). Atomic because checkChunk
-	// reads it from worker goroutines.
-	cause atomic.Int32
+	// current batch (obs.None when unknown).
+	cause obs.ID
 	// traceParent is the span id subsequent core.pi_batch spans are
-	// parented under (0 for roots). Atomic for the same reason as cause:
-	// set by the engine goroutine, consistent to read anywhere.
-	traceParent atomic.Uint64
+	// parented under (0 for roots).
+	traceParent uint64
 }
 
 // SetCause attributes subsequent Π-check work to the given ID — the inquiry
 // engine sets it to the causing conflict's CDD before each SOUNDQUESTION.
-func (pc *PiChecker) SetCause(id obs.ID) { pc.cause.Store(int32(id)) }
+func (pc *PiChecker) SetCause(id obs.ID) { pc.cause = id }
 
 // SetTraceParent parents subsequent Π-batch trace spans under the given
 // span id — the inquiry engine points it at the question-generation span
 // before each SOUNDQUESTION, mirroring SetCause.
-func (pc *PiChecker) SetTraceParent(id uint64) { pc.traceParent.Store(id) }
+func (pc *PiChecker) SetTraceParent(id uint64) { pc.traceParent = id }
 
 // NewPiChecker builds a checker for the KB with the optimization enabled.
-// It also warms the plan cache for every rule body against the KB's base
-// store: the checker's full checks fan out across workers on per-chunk
-// clone stores, and a first compile racing in a worker would bind join
-// orders to whichever clone won — warming here keeps orders deterministic.
+// It also warms the plan cache for every rule body — and, for a KB whose
+// CDDs no TGD feeds, the pinned-seed plans of the delta check — against the
+// KB's base store. A plan's join order binds at its first compile, and the
+// checker's searches run on the Π-nulled instance, where unique nulls make
+// every non-Π position look perfectly selective; compiling here costs the
+// orders on the real data instead.
 func NewPiChecker(kb *KB) *PiChecker {
 	chase.PrecompilePlans(kb.Facts, kb.TGDs, kb.CDDs)
-	pc := &PiChecker{kb: kb, ruleConst: make(map[logic.Term]bool), Optimized: true}
-	pc.cause.Store(int32(obs.None))
+	pc := &PiChecker{kb: kb, ruleConst: make(map[logic.Term]bool), Optimized: true, cause: obs.None}
+	if len(chase.RelevantTGDs(kb.TGDs, kb.CDDs)) == 0 {
+		pc.pin = conflict.NewPinned(kb.CDDs, kb.Facts)
+	}
 	collect := func(as []logic.Atom) {
 		for _, a := range as {
 			for _, t := range a.Args {
@@ -182,22 +253,19 @@ func (pc *PiChecker) CheckWithFix(pi Pi, f Fix) (bool, error) {
 
 // CheckBatch decides Π′-repairability for a batch of single-fix updates
 // sharing the same Π (the filtering loop of one SOUNDQUESTION call). The
-// fast path handles most fixes sequentially; the remaining full Algorithm 1
-// checks are independent of each other and fan out across the worker pool
-// (one Π-nulled instance per chunk), with verdicts written by fix index so
-// the result — and therefore question order — is byte-identical at every
-// worker count.
+// fast path handles most fixes; the remaining full Algorithm 1 checks run
+// one after another on the checker's persistent Π-nulled instance, with
+// verdicts written by fix index.
 func (pc *PiChecker) CheckBatch(pi Pi, fixes []Fix) ([]bool, error) {
 	out := make([]bool, len(fixes))
 	var fastHits, accepted int64
 	var full []int
-	// One span covers the whole batch: the full checks run inside worker
-	// goroutines with their chases silenced (TraceQuiet), so Π time is
-	// attributed here, at batch granularity, deterministically.
-	sp := obs.Start(obs.KindPiBatch, pc.traceParent.Load(), len(fixes))
-	cause := obs.ID(pc.cause.Load())
+	// One span covers the whole batch: the full checks' chases are
+	// silenced (TraceQuiet), so Π time is attributed here, at batch
+	// granularity.
+	sp := obs.Start(obs.KindPiBatch, pc.traceParent, len(fixes))
 	defer func() {
-		mPiFast.AddFor(cause, fastHits)
+		mPiFast.AddFor(pc.cause, fastHits)
 		sp.End(int(fastHits), len(full), int(accepted))
 	}()
 	for i, f := range fixes {
@@ -213,7 +281,7 @@ func (pc *PiChecker) CheckBatch(pi Pi, fixes []Fix) ([]bool, error) {
 		full = append(full, i)
 	}
 	pc.FullChecks += len(full)
-	mPiFull.AddFor(cause, int64(len(full)))
+	mPiFull.AddFor(pc.cause, int64(len(full)))
 	if err := pc.runFullChecks(pi, fixes, full, out); err != nil {
 		return nil, err
 	}
@@ -225,65 +293,56 @@ func (pc *PiChecker) CheckBatch(pi Pi, fixes []Fix) ([]bool, error) {
 	return out, nil
 }
 
-// runFullChecks runs the full Algorithm 1 checks of a batch (fix indices in
-// full). With one worker — or a single check — everything runs inline on
-// one shared nulled instance, the sequential baseline. Otherwise the
-// indices split into at most Workers() contiguous chunks, each chunk with
-// its own Π-nulled instance (checks only read pc.kb and mutate their own
-// copy, so they are independent). Verdicts land in out by fix index, never
-// by completion order.
+// runFullChecks runs Algorithm 1 for each fix index in full on the
+// persistent Π-nulled instance, setting only the fix position between
+// checks. Algorithm 1 on (apply(F,{f}), Π ∪ {f.Pos}) is exactly the
+// instance under Π with the fix value at the fix position (f.Pos is outside
+// Π in every SOUNDQUESTION call, and if it were inside, setting it still
+// realizes the hypothetical update).
+//
+// Each check is one of two kinds:
+//
+//   - Delta (no TGD relevant to the CDDs, and the instance under Π
+//     consistent): a CDD violation after the fix must use the one changed
+//     fact, so a search with a CDD body atom pinned at that fact decides it
+//     (conflict.Pinned — the UpdateConflicts reasoning of §5).
+//   - Full: chase.IsConsistentOpt on the instance in place; the chase's
+//     derived facts are truncated away before it returns.
 func (pc *PiChecker) runFullChecks(pi Pi, fixes []Fix, full []int, out []bool) error {
 	if len(full) == 0 {
 		return nil
 	}
-	w := par.Workers()
-	if w > len(full) {
-		w = len(full)
+	if pc.inst == nil || pc.inst.src != pc.kb.Facts || pc.inst.s.Len() != pc.kb.Facts.Len() {
+		pc.inst = newPiInstance(pc.kb.Facts, pi)
+	} else {
+		pc.inst.sync(pi)
 	}
-	if w <= 1 {
-		return pc.checkChunk(pi, fixes, full, out)
-	}
-	chunks := make([][]int, 0, w)
-	for g := 0; g < w; g++ {
-		lo, hi := g*len(full)/w, (g+1)*len(full)/w
-		if lo < hi {
-			chunks = append(chunks, full[lo:hi])
-		}
-	}
-	errs := par.MapNamed("core.pi", len(chunks), func(g int) error {
-		return pc.checkChunk(pi, fixes, chunks[g], out)
-	})
-	for _, err := range errs {
+	s := pc.inst.s
+	// The chases stay out of the trace: one SOUNDQUESTION runs hundreds of
+	// checks, and CheckBatch's pi_batch span carries the batch's time.
+	opts := pc.kb.ChaseOpts
+	opts.TraceQuiet = true
+	delta := false
+	if pc.pin != nil {
+		ok, err := chase.IsConsistentOpt(s, pc.kb.TGDs, pc.kb.CDDs, opts)
 		if err != nil {
 			return err
 		}
+		delta = ok
 	}
-	return nil
-}
-
-// checkChunk runs Algorithm 1 for each fix index in idxs on one shared
-// Π-nulled instance, mutating only the fix position between checks.
-func (pc *PiChecker) checkChunk(pi Pi, fixes []Fix, idxs []int, out []bool) error {
-	nulled := nulledCopy(pc.kb.Facts, pi)
-	cause := obs.ID(pc.cause.Load())
-	// Chunks may run on worker goroutines: their chases stay out of the
-	// trace (interleaved spans from racing workers would make the trace
-	// depend on the worker count). CheckBatch's pi_batch span carries the
-	// batch's time instead.
-	opts := pc.kb.ChaseOpts
-	opts.TraceQuiet = true
-	for _, i := range idxs {
+	for _, i := range full {
 		f := fixes[i]
-		// Algorithm 1 on (apply(F,{f}), Π ∪ {f.Pos}) is exactly the nulled
-		// instance with the fix value at the fix position. (Π positions of
-		// the nulled store keep their values; f.Pos is outside Π in every
-		// SOUNDQUESTION call, and if it were inside, setting it below
-		// still realizes the hypothetical update.)
-		prev := nulled.MustSetValue(f.Pos, f.Value)
+		prev := s.MustSetValue(f.Pos, f.Value)
 		tm := obs.StartTimer()
-		ok, err := chase.IsConsistentOpt(nulled, pc.kb.TGDs, pc.kb.CDDs, opts)
-		mPiCheckTime.SinceFor(cause, tm)
-		nulled.MustSetValue(f.Pos, prev)
+		var ok bool
+		var err error
+		if delta {
+			ok = !pc.pin.Each(s, f.Pos.Fact, nil)
+		} else {
+			ok, err = chase.IsConsistentOpt(s, pc.kb.TGDs, pc.kb.CDDs, opts)
+		}
+		mPiCheckTime.SinceFor(pc.cause, tm)
+		s.MustSetValue(f.Pos, prev)
 		if err != nil {
 			return err
 		}

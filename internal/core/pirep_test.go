@@ -290,9 +290,11 @@ func TestPiCheckerAgreesWithAlgorithm1(t *testing.T) {
 }
 
 // TestNulledCopyLabelCollision is a regression test: the Algorithm 1
-// instance must never allocate a fresh null whose label collides with a
-// null already sitting at a Π position (or handed out as a candidate fix
-// value) — a collision fabricates joins and flips the answer.
+// instance must never hold a null whose label collides with a null sitting
+// at a Π position (or handed out as a candidate fix value) — a collision
+// fabricates joins and flips the answer. The checker keeps its instance
+// across batches while kb.Facts keeps minting nulls, so the check spans
+// many batches with fresh kb.Facts nulls pinned in between.
 func TestNulledCopyLabelCollision(t *testing.T) {
 	s := store.MustFromAtoms([]logic.Atom{
 		logic.NewAtom("p", logic.C("a"), logic.N("n1")),
@@ -305,7 +307,8 @@ func TestNulledCopyLabelCollision(t *testing.T) {
 	kb := MustKB(s, nil, []*logic.CDD{cdd})
 	// Pin the _:n1 position: with a colliding fresh null at q's first
 	// argument the CDD body would spuriously match.
-	pi := NewPi(Position{Fact: 0, Arg: 1})
+	pinned := Position{Fact: 0, Arg: 1}
+	pi := NewPi(pinned)
 	ok, err := PiRepairable(kb, pi)
 	if err != nil {
 		t.Fatal(err)
@@ -313,15 +316,153 @@ func TestNulledCopyLabelCollision(t *testing.T) {
 	if !ok {
 		t.Error("label collision fabricated a join: Π-repairable KB reported unrepairable")
 	}
-	// Same through the checker's full-check path: the fix value "d" occurs
-	// at no Π position but is in the store, forcing a full check.
+	// Same through the checker's full-check path: the fix value "x" occurs
+	// nowhere, but the fast path is off, forcing a full check. The fix is
+	// at q's second argument, so q's first keeps its instance null.
 	pc := NewPiChecker(kb)
 	pc.Optimized = false
-	got, err := pc.CheckWithFix(pi, Fix{Pos: Position{Fact: 1, Arg: 0}, Value: logic.C("x")})
-	if err != nil {
-		t.Fatal(err)
+	fix := Fix{Pos: Position{Fact: 1, Arg: 1}, Value: logic.C("x")}
+	for batch := 0; batch < 20; batch++ {
+		got, err := pc.CheckWithFix(pi, fix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got {
+			t.Fatalf("batch %d: full check fabricated a join under pinned null %s", batch, kb.Facts.Value(pinned))
+		}
+		// Between questions kb.Facts mints a candidate-fix null, and the
+		// answer pins it: over the batches the pinned value walks through
+		// the labels FreshNull hands out after the instance was built.
+		kb.Facts.MustSetValue(pinned, kb.Facts.FreshNull())
 	}
-	if !got {
-		t.Error("full check fabricated a join under pinned null")
+}
+
+// Property: one long-lived PiChecker, driven through random sequences of Π
+// additions and removals, value updates at Π positions, kb.Facts null
+// minting and batch checks, returns on every fix the verdict of Algorithm 1
+// recomputed from scratch on apply(F, {f}) with Π ∪ {f.Pos}. It runs on
+// CDD-only KBs (the delta check) and on KBs whose TGDs feed the CDDs (the
+// in-place chase), and the checks must never change kb.Facts.
+func TestPersistentPiCheckerAgreesWithAlgorithm1(t *testing.T) {
+	for _, withTGDs := range []bool{false, true} {
+		f := func(seed int64) bool {
+			r := rand.New(rand.NewSource(seed))
+			consts := []logic.Term{logic.C("a"), logic.C("b"), logic.C("c")}
+			s := store.New()
+			for i := 0; i < 6; i++ {
+				s.MustAdd(logic.NewAtom("p", consts[r.Intn(3)], consts[r.Intn(3)]))
+			}
+			for i := 0; i < 3; i++ {
+				s.MustAdd(logic.NewAtom("q", consts[r.Intn(3)]))
+			}
+			cdds := []*logic.CDD{
+				logic.MustCDD([]logic.Atom{
+					logic.NewAtom("p", logic.V("X"), logic.V("Y")),
+					logic.NewAtom("q", logic.V("Y")),
+				}),
+				logic.MustCDD([]logic.Atom{logic.NewAtom("p", logic.V("X"), logic.V("X"))}),
+			}
+			var tgds []*logic.TGD
+			if withTGDs {
+				cdds = append(cdds, logic.MustCDD([]logic.Atom{
+					logic.NewAtom("r", logic.V("X"), logic.V("Y")),
+					logic.NewAtom("p", logic.V("Y"), logic.V("X")),
+				}))
+				tgds = []*logic.TGD{
+					logic.MustTGD(
+						[]logic.Atom{logic.NewAtom("q", logic.V("X"))},
+						[]logic.Atom{logic.NewAtom("p", logic.V("X"), logic.V("X"))},
+					),
+					// An existential head: the in-place chase invents nulls.
+					logic.MustTGD(
+						[]logic.Atom{logic.NewAtom("p", logic.V("X"), logic.V("Y"))},
+						[]logic.Atom{logic.NewAtom("r", logic.V("Y"), logic.V("Z"))},
+					),
+				}
+			}
+			kb := MustKB(s, tgds, cdds)
+			pc := NewPiChecker(kb)
+			if (pc.pin == nil) != withTGDs {
+				t.Fatalf("withTGDs=%v but delta search present=%v", withTGDs, pc.pin != nil)
+			}
+			ps := kb.Facts.Positions()
+			var minted []logic.Term
+			value := func() logic.Term {
+				switch k := r.Intn(5); {
+				case k < 2:
+					return consts[r.Intn(3)]
+				case k == 2 && len(minted) > 0:
+					return minted[r.Intn(len(minted))]
+				case k == 3:
+					return logic.C("zz")
+				default:
+					v := kb.Facts.FreshNull()
+					minted = append(minted, v)
+					return v
+				}
+			}
+			pi := NewPi()
+			for step := 0; step < 30; step++ {
+				switch r.Intn(6) {
+				case 0:
+					pi.Add(ps[r.Intn(len(ps))])
+				case 1:
+					for _, p := range ps {
+						if pi.Has(p) && r.Intn(2) == 0 {
+							delete(pi, p)
+							break
+						}
+					}
+				case 2:
+					// An answer: a value update at a pinned position.
+					for _, p := range ps {
+						if pi.Has(p) {
+							kb.Facts.MustSetValue(p, value())
+							break
+						}
+					}
+				case 3:
+					minted = append(minted, kb.Facts.FreshNull())
+				default:
+					fixes := make([]Fix, 1+r.Intn(4))
+					for i := range fixes {
+						fixes[i] = Fix{Pos: ps[r.Intn(len(ps))], Value: value()}
+					}
+					// The fast path presumes the Algorithm 2 invariant that K
+					// is Π-repairable; without it, only full checks apply.
+					rep, err := PiRepairable(kb, pi)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pc.Optimized = rep && r.Intn(2) == 0
+					before := kb.Facts.Clone()
+					got, err := pc.CheckBatch(pi, fixes)
+					if err != nil {
+						t.Logf("CheckBatch: %v", err)
+						return false
+					}
+					if !kb.Facts.Equal(before) {
+						t.Log("CheckBatch changed kb.Facts")
+						return false
+					}
+					for i, fx := range fixes {
+						kb2 := kb.Clone()
+						kb2.Facts.MustSetValue(fx.Pos, fx.Value)
+						want, err := PiRepairable(kb2, pi.With(fx.Pos))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got[i] != want {
+							t.Logf("step %d: fix %s under Π=%v: got %v, want %v", step, fx, pi, got[i], want)
+							return false
+						}
+					}
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+			t.Errorf("withTGDs=%v: %v", withTGDs, err)
+		}
 	}
 }

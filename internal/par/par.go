@@ -1,9 +1,7 @@
 // Package par provides the worker-pool parallel execution layer of
-// kbrepair. Four pipeline stages fan out through MapNamed here, each under
+// kbrepair. Three pipeline stages fan out through MapNamed here, each under
 // its call-site label:
 //
-//   - core.pi — the Π-check of a candidate-fix batch, one chunk of fixes
-//     per worker (core.PiChecker.CheckBatch);
 //   - conflict.scan — conflict detection, one independent homomorphism
 //     search per CDD (conflict.AllNaive / conflict.All);
 //   - conflict.ranks — position ranks over the conflict set, one chunk of
@@ -11,8 +9,10 @@
 //   - inquiry.fixgen — fix generation, one active-domain enumeration per
 //     eligible position.
 //
-// The chase and the tracker's incremental update run inline: measured on
-// two CPUs, fanning them out did not pay for its dispatch cost.
+// The chase, the tracker's incremental update and the Π-check of a
+// candidate-fix batch run inline: measured on two CPUs, fanning them out
+// did not pay for its dispatch cost (and the Π-check fan-out needed a copy
+// of the Π-nulled instance per chunk).
 //
 // Design rules, enforced by the callers:
 //
@@ -27,7 +27,7 @@
 // The pool size is a process-wide setting (SetWorkers / the -workers CLI
 // flag, default runtime.GOMAXPROCS(0)). Workers are spawned per call
 // rather than kept hot: the fan-outs here are coarse (whole homomorphism
-// searches, Π-check chunks), so goroutine start-up cost is noise, and an
+// searches, fix-value enumerations), so goroutine start-up cost is noise, and an
 // idle process holds no threads.
 package par
 
@@ -97,7 +97,7 @@ func Configure(n *int) { SetWorkers(*n) }
 // inline on the calling goroutine, which keeps -workers 1 a true
 // sequential baseline.
 //
-// label names the call site ("core.pi", "conflict.scan", …); it becomes
+// label names the call site ("conflict.scan", "inquiry.fixgen", …); it becomes
 // the note of the par.dispatch ring event, so a debug bundle shows which
 // fan-out dispatched. It changes no execution behavior.
 //

@@ -22,8 +22,8 @@
 // goroutines may call the read-side accessors (Candidates,
 // CandidatesByPred, ActiveDomain, FactRef, Value, Contains, NullForCoord, …)
 // simultaneously as long as no goroutine mutates the store (Add, AddBatch,
-// SetValue, FreshNull, ReserveNulls) in the same window. Writes require
-// exclusive access; the caller provides that exclusion — the store has no
+// SetValue, Truncate, FreshNull, ReserveNulls) in the same window. Writes
+// require exclusive access; the caller provides that exclusion — the store has no
 // internal locking, because the repair pipeline's phases are already strictly
 // "parallel read, then sequential write" (parallel conflict detection, fix
 // generation and position ranking read; fix application and the chase
@@ -528,6 +528,59 @@ func (s *Store) ReserveNulls(k int) {
 // reserves this many labels will never allocate a null colliding with one
 // this store has handed out.
 func (s *Store) NullSeq() int { return s.nullSeq }
+
+// Truncate removes every fact with id ≥ n, restoring the per-predicate
+// lists, the argument index, the active domains, the value counts and the
+// ground-atom key index. It is the rollback of an append-only extension:
+// when only Add/AddBatch ran since the store had n facts (the chase only
+// appends), facts are removed newest first, each is the tail of every list
+// it sits in, and every list is restored exactly — same contents, same
+// order — as it was at length n. The fresh-null counter is not rewound, so
+// nulls handed out before the rollback stay unique.
+func (s *Store) Truncate(n int) {
+	if n < 0 {
+		n = 0
+	}
+	for i := len(s.facts) - 1; i >= n; i-- {
+		id := FactID(i)
+		a := s.facts[i]
+		s.byPred[a.Pred] = dropID(s.byPred[a.Pred], id)
+		if len(s.byPred[a.Pred]) == 0 {
+			delete(s.byPred, a.Pred)
+		}
+		for j, t := range a.Args {
+			k := indexKey{a.Pred, j, t}
+			if lst := dropID(s.index[k], id); len(lst) == 0 {
+				delete(s.index, k)
+			} else {
+				s.index[k] = lst
+			}
+			s.adomRemove(a.Pred, j, t)
+		}
+		k := a.Key()
+		if lst := dropID(s.byKey[k], id); len(lst) == 0 {
+			delete(s.byKey, k)
+		} else {
+			s.byKey[k] = lst
+		}
+		s.facts[i] = logic.Atom{}
+		s.facts = s.facts[:i]
+	}
+}
+
+// dropID removes id from lst: a pop when id is the tail (the append-only
+// case Truncate is built for), otherwise an order-preserving delete.
+func dropID(lst []FactID, id FactID) []FactID {
+	if n := len(lst); n > 0 && lst[n-1] == id {
+		return lst[:n-1]
+	}
+	for i, x := range lst {
+		if x == id {
+			return append(lst[:i], lst[i+1:]...)
+		}
+	}
+	return lst
+}
 
 // Clone returns a deep copy of the store. The copy has the same FactIDs and
 // the same fresh-null counter position.

@@ -549,3 +549,135 @@ func TestMustPanicsOnError(t *testing.T) {
 	assertPanics("MustSetValue", func() { s.MustSetValue(Position{Fact: 0, Arg: 5}, logic.C("b")) })
 	assertPanics("MustFromAtoms", func() { MustFromAtoms([]logic.Atom{logic.NewAtom("p", logic.V("X"))}) })
 }
+
+// Property: Truncate is the exact rollback of an append-only tail. After a
+// random history of Add/AddBatch/SetValue calls a mark is taken; an AddBatch
+// tail with duplicate atoms, coordinate-shaped nulls and repeated terms is
+// appended, then truncated back to the mark. The store must equal a clone
+// taken at the mark, keep its invariants, and answer every index query on
+// every touched key exactly as the clone does — list order included.
+func TestTruncateRestoresMark(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		s := New()
+		terms := []logic.Term{logic.C("a"), logic.C("b"), logic.C("c"),
+			logic.N(CoordNullLabel(1, 0, 0, 0)), logic.N("n3")}
+		preds := []string{"p", "q", "r"}
+		randAtom := func() logic.Atom {
+			args := make([]logic.Term, 1+r.Intn(3))
+			for j := range args {
+				args[j] = terms[r.Intn(len(terms))]
+			}
+			return logic.NewAtom(preds[r.Intn(len(preds))], args...)
+		}
+		for i := 0; i < 20; i++ {
+			switch {
+			case r.Intn(3) == 0:
+				batch := make([]logic.Atom, 1+r.Intn(3))
+				for j := range batch {
+					batch[j] = randAtom()
+				}
+				if _, err := s.AddBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+			case s.Len() > 0 && r.Intn(2) == 0:
+				id := FactID(r.Intn(s.Len()))
+				v := terms[r.Intn(len(terms))]
+				if r.Intn(4) == 0 {
+					v = s.FreshNull()
+				}
+				s.MustSetValue(Position{Fact: id, Arg: r.Intn(s.Arity(id))}, v)
+			default:
+				s.MustAdd(randAtom())
+			}
+		}
+		mark := s.Len()
+		at := s.Clone()
+		seq := s.NullSeq()
+
+		var tail []logic.Atom
+		for i := 0; i < 1+r.Intn(8); i++ {
+			a := randAtom()
+			if r.Intn(3) == 0 {
+				a.Args[0] = logic.N(CoordNullLabel(1+r.Intn(2), r.Intn(2), r.Intn(3), 0))
+			}
+			tail = append(tail, a)
+			if r.Intn(3) == 0 {
+				tail = append(tail, a.Clone()) // a duplicate atom
+			}
+			if i == 0 && mark > 0 {
+				tail = append(tail, s.Fact(FactID(r.Intn(mark)))) // duplicates a marked fact
+			}
+		}
+		tail = append(tail, logic.NewAtom("fresh", logic.N("n99"), logic.N("n99")))
+		if _, err := s.AddBatch(tail); err != nil {
+			t.Fatal(err)
+		}
+		s.Truncate(mark)
+
+		if !s.Equal(at) {
+			t.Logf("facts differ after Truncate(%d)", mark)
+			return false
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Logf("invariant broken: %v", err)
+			return false
+		}
+		if s.NullSeq() < seq {
+			t.Logf("null counter rewound: %d < %d", s.NullSeq(), seq)
+			return false
+		}
+		if !reflect.DeepEqual(s.Predicates(), at.Predicates()) {
+			t.Logf("predicates %v, want %v", s.Predicates(), at.Predicates())
+			return false
+		}
+		touched := append(at.Atoms(), tail...)
+		for _, a := range touched {
+			if !reflect.DeepEqual(s.ByPredicate(a.Pred), at.ByPredicate(a.Pred)) ||
+				!reflect.DeepEqual(s.FindExact(a), at.FindExact(a)) {
+				t.Logf("byPred/byKey differ on %s", a)
+				return false
+			}
+			for j, v := range a.Args {
+				if !reflect.DeepEqual(s.Candidates(a.Pred, j, v), at.Candidates(a.Pred, j, v)) ||
+					!reflect.DeepEqual(s.ActiveDomain(a.Pred, j), at.ActiveDomain(a.Pred, j)) ||
+					s.OccurrenceCount(v) != at.OccurrenceCount(v) {
+					t.Logf("index/adom/vals differ on %s@%d=%s", a.Pred, j, v)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestTruncateBounds(t *testing.T) {
+	s := medStore(t)
+	at := s.Clone()
+	s.Truncate(s.Len() + 5) // beyond the end: no-op
+	if !s.Equal(at) {
+		t.Error("Truncate past the end changed the store")
+	}
+	s.Truncate(-1)
+	if s.Len() != 0 || len(s.Predicates()) != 0 || s.CheckInvariants() != nil {
+		t.Errorf("Truncate(-1) left %d facts, predicates %v", s.Len(), s.Predicates())
+	}
+
+	// A value update after the mark reorders index lists, so tail facts
+	// are no longer list tails; Truncate must still drop exactly them.
+	p := logic.NewAtom("p", logic.C("a"), logic.C("b"))
+	s.MustAdd(p)
+	s.MustAdd(p)
+	mark := s.Len()
+	s.MustAdd(p)
+	s.MustAdd(p)
+	s.MustSetValue(Position{Fact: 0, Arg: 1}, logic.C("z"))
+	s.MustSetValue(Position{Fact: 0, Arg: 1}, logic.C("b"))
+	s.Truncate(mark)
+	if err := s.CheckInvariants(); err != nil || s.Len() != mark || len(s.FindExact(p)) != mark {
+		t.Errorf("Truncate after a SetValue past the mark: %d facts, %v", s.Len(), err)
+	}
+}
