@@ -2,7 +2,9 @@
 // weakly-acyclic TGDs, with per-fact provenance, plus the two consistency
 // checks of the paper: the naive one (full chase, then evaluate every CDD
 // body) and CheckConsistency-Opt (§5), which compiles CDDs into ⊥-headed
-// rules and aborts the chase the moment ⊥ is derived.
+// rules and aborts the chase the moment ⊥ is derived. Incremental (delta.go)
+// makes the latter incremental for one-fact additions: chase once, then a
+// semi-naive delta per added fact.
 package chase
 
 import (
@@ -216,16 +218,20 @@ func (o Options) maxRounds() int {
 	return o.MaxRounds
 }
 
-// PrecompilePlans warms the process-wide homomorphism plan cache for every
-// conjunction the pipeline derives from the rules — TGD bodies, TGD heads
-// (seed-specialized on the frontier variables, which every head check binds),
-// CDD bodies and the memoized ⊥-rules — against a representative store.
+// PrecompilePlans compiles, into each rule's memo, the homomorphism plan of
+// every conjunction the pipeline derives from the rules — TGD bodies, TGD
+// heads (seed-specialized on the frontier variables, which every head check
+// binds), CDD bodies and the memoized ⊥-rules — against a representative
+// store.
 //
 // The join order of a plan binds at its first compile, so this must run at a
 // deterministic sequential point on representative data, before any
 // parallel fan-out can compile as a side effect and before the Π-checker
 // chases its Π-nulled instance, whose unique nulls would make every
-// non-Π position look perfectly selective to the orderer.
+// non-Π position look perfectly selective to the orderer. The pinned-seed
+// plans of the delta checks are compiled by their own constructors
+// (NewIncremental, conflict.NewPinned), which core.NewPiChecker calls
+// right after this, on the same store.
 func PrecompilePlans(base *store.Store, tgds []*logic.TGD, cdds []*logic.CDD) {
 	rules := tgds
 	if len(cdds) > 0 {
@@ -466,20 +472,18 @@ func IsConsistentNaive(s *store.Store, tgds []*logic.TGD, cdds []*logic.CDD, opt
 // identifier.
 const BottomPred = "⊥"
 
-// bottomRules memoizes the ⊥-rule compiled from each CDD. Stable rule
-// pointers matter beyond saving the allocation: the homomorphism plan cache
-// is keyed by rule identity, and IsConsistentOpt runs once per Π-check —
-// fresh TGD pointers on every call would compile (and leak) a new plan per
-// consistency check instead of reusing one per CDD per session.
-var bottomRules sync.Map // *logic.CDD -> *logic.TGD
+// bottomKey is the key of a CDD's ⊥-rule in the CDD's memo.
+type bottomKey struct{}
 
 // CompileBottom turns CDDs into TGDs with head ⊥() so that the chase itself
 // detects inconsistency (CheckConsistency-Opt, §5). The returned rules are
-// memoized per CDD: repeated calls yield pointer-identical TGDs.
+// memoized on their CDD: repeated calls yield pointer-identical TGDs, so a
+// ⊥-rule's compiled plans (kept on the rule) are compiled once per CDD, and
+// the ⊥-rule lives exactly as long as its CDD.
 func CompileBottom(cdds []*logic.CDD) []*logic.TGD {
 	out := make([]*logic.TGD, len(cdds))
 	for i, c := range cdds {
-		if v, ok := bottomRules.Load(c); ok {
+		if v, ok := c.Memo().Load(bottomKey{}); ok {
 			out[i] = v.(*logic.TGD)
 			continue
 		}
@@ -488,7 +492,7 @@ func CompileBottom(cdds []*logic.CDD) []*logic.TGD {
 			Body:  append([]logic.Atom(nil), c.Body...),
 			Head:  []logic.Atom{logic.NewAtom(BottomPred)},
 		}
-		v, _ := bottomRules.LoadOrStore(c, t)
+		v, _ := c.Memo().LoadOrStore(bottomKey{}, t)
 		out[i] = v.(*logic.TGD)
 	}
 	return out

@@ -200,10 +200,12 @@ func AllNaiveUnder(parent uint64, base *store.Store, cdds []*logic.CDD) []*Confl
 // (CDD, homomorphism) — dedup never crosses CDDs because the conflict key
 // starts with the CDD index. When res is non-nil the scan is a chase-level
 // one: base supports come from provenance and Direct only holds when every
-// violating atom is a base fact.
+// violating atom is a base fact. A homomorphism found first through a
+// derived copy of a base fact is replaced by its direct match when one
+// turns up, so the direct conflicts are exactly the naive ones.
 func scanCDD(s *store.Store, plan *homo.Plan, cdd *logic.CDD, idx int, res *chase.Result) []*Conflict {
 	var out []*Conflict
-	seen := make(map[string]bool)
+	seen := make(map[string]int)
 	plan.ForEach(s, func(m homo.Match) bool {
 		direct := true
 		baseFacts := m.Facts
@@ -224,9 +226,12 @@ func scanCDD(s *store.Store, plan *homo.Plan, cdd *logic.CDD, idx int, res *chas
 			BaseFacts: dedupIDs(baseFacts),
 			Direct:    direct,
 		}
-		if k := cf.Key(); !seen[k] {
-			seen[k] = true
+		k := cf.Key()
+		if i, dup := seen[k]; !dup {
+			seen[k] = len(out)
 			out = append(out, cf)
+		} else if direct && !out[i].Direct {
+			out[i] = cf
 		}
 		return true
 	})

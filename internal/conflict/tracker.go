@@ -31,60 +31,23 @@ type Tracker struct {
 	pin *Pinned
 }
 
-// Pinned is the pinned-seed CDD search of §5's UpdateConflicts. After one
-// fact changes, every CDD-body homomorphism the change created maps some
-// body atom onto that fact, so re-checking means binding each body atom
-// that can map onto the fact and searching the rest of the body from
-// there — never re-scanning whole bodies. The tracker re-syncs its
-// conflict set with it; the Π-checker decides CDD-only fixes with it.
+// Pinned is the pinned-seed CDD search of §5's UpdateConflicts
+// (homo.Pinned over the CDD bodies). The tracker re-syncs its conflict set
+// with it; the Π-checker decides CDD-only fixes with it.
 type Pinned struct {
-	cdds []*logic.CDD
-	// byPred maps a predicate name to the indexes of CDDs mentioning it in
-	// their body (the Σ_C^A of §5, at predicate granularity).
-	byPred map[string][]int
-	// plans[ci][ai] is the compiled body-minus-atom-ai conjunction of CDD
-	// ci, precomputed so the hot path never touches the plan cache. Plans
-	// are seed-specialized: the pinned atom's variables are pre-bound
-	// slots, so the orderer costs the rest-conjunction under the bindings
-	// every pinned search actually starts with.
-	plans [][]*homo.Plan
+	cdds  []*logic.CDD
+	seeds *homo.Pinned
 }
 
 // NewPinned prepares the pinned-seed search for the CDDs, compiling its
-// plans against stats if they are not cached yet.
+// plans against stats if they are not in the CDDs' memos yet.
 func NewPinned(cdds []*logic.CDD, stats *store.Store) *Pinned {
-	p := &Pinned{cdds: cdds, byPred: make(map[string][]int), plans: make([][]*homo.Plan, len(cdds))}
+	owners := make([]homo.Owner, len(cdds))
+	bodies := make([][]logic.Atom, len(cdds))
 	for i, c := range cdds {
-		seen := make(map[string]bool)
-		for _, a := range c.Body {
-			if !seen[a.Pred] {
-				seen[a.Pred] = true
-				p.byPred[a.Pred] = append(p.byPred[a.Pred], i)
-			}
-		}
-		// Pinned plans are pure functions of (cdd, atom index, prebound
-		// set), so they go through the process-wide cache and are shared
-		// across trackers and checkers.
-		p.plans[i] = make([]*homo.Plan, len(c.Body))
-		for ai := range c.Body {
-			rest := make([]logic.Atom, 0, len(c.Body)-1)
-			for j, a := range c.Body {
-				if j != ai {
-					rest = append(rest, a)
-				}
-			}
-			var pre []logic.Term
-			for _, arg := range c.Body[ai].Args {
-				if arg.IsVar() && !containsTerm(pre, arg) {
-					pre = append(pre, arg)
-				}
-			}
-			p.plans[i][ai] = homo.CachedPlanWith(
-				homo.CacheKey{Owner: c, Tag: homo.TagPinned + ai}, rest,
-				homo.CompileOpts{Stats: stats, Prebound: pre})
-		}
+		owners[i], bodies[i] = c, c.Body
 	}
-	return p
+	return &Pinned{cdds: cdds, seeds: homo.NewPinned(owners, bodies, stats)}
 }
 
 // Each runs the pinned-seed search for fact id of s: every body atom ai of
@@ -94,34 +57,22 @@ func NewPinned(cdds []*logic.CDD, stats *store.Store) *Pinned {
 // the other body atoms (in body order, valid only during the call), and
 // reports whether it found any. With a nil fn it stops at the first.
 func (p *Pinned) Each(s *store.Store, id store.FactID, fn func(ci, ai int, seed logic.Subst, m homo.Match)) bool {
-	atom := s.FactRef(id)
 	hit := false
-	for _, ci := range p.byPred[atom.Pred] {
-		cdd := p.cdds[ci]
-		for ai, ba := range cdd.Body {
-			if ba.Pred != atom.Pred || len(ba.Args) != len(atom.Args) {
-				continue
-			}
-			seed, ok := bindAtom(ba, atom)
-			if !ok {
-				continue
-			}
-			if obs.AttrEnabled() {
-				attrPinned.AddFor(AttrID(cdd), 1)
-			}
-			if fn == nil {
-				if p.plans[ci][ai].ExistsSeeded(s, seed) {
-					return true
-				}
-				continue
-			}
-			p.plans[ci][ai].ForEachSeeded(s, seed, func(m homo.Match) bool {
-				hit = true
-				fn(ci, ai, seed, m)
-				return true
-			})
+	p.seeds.Seeds(s, id, func(ci, ai int, seed logic.Subst, plan *homo.Plan) bool {
+		if obs.AttrEnabled() {
+			attrPinned.AddFor(AttrID(p.cdds[ci]), 1)
 		}
-	}
+		if fn == nil {
+			hit = plan.ExistsSeeded(s, seed)
+			return !hit
+		}
+		plan.ForEachSeeded(s, seed, func(m homo.Match) bool {
+			hit = true
+			fn(ci, ai, seed, m)
+			return true
+		})
+		return true
+	})
 	return hit
 }
 
@@ -136,26 +87,36 @@ func NewTracker(base *store.Store, cdds []*logic.CDD) *Tracker {
 // NewTrackerUnder is NewTracker with the initial conflict scan's trace span
 // parented under the given span id (0 for a root).
 func NewTrackerUnder(parent uint64, base *store.Store, cdds []*logic.CDD) *Tracker {
-	t := &Tracker{
-		base:      base,
-		cdds:      cdds,
-		conflicts: make(map[string]*Conflict),
-		byFact:    make(map[store.FactID]map[string]bool),
-		pin:       NewPinned(cdds, base),
-	}
+	t := newTracker(base, cdds)
 	for _, c := range AllNaiveUnder(parent, base, cdds) {
 		t.add(c)
 	}
 	return t
 }
 
-func containsTerm(ts []logic.Term, t logic.Term) bool {
-	for _, x := range ts {
-		if x == t {
-			return true
+// NewTrackerFrom is NewTracker seeded from all, the chase-level conflicts
+// of the same store and CDDs (All's result), instead of a naive scan. The
+// naive conflicts are exactly the direct ones among them — scanCDD keeps
+// the direct match of a homomorphism whenever one exists — so a session
+// that needs both sets pays for one scan.
+func NewTrackerFrom(base *store.Store, cdds []*logic.CDD, all []*Conflict) *Tracker {
+	t := newTracker(base, cdds)
+	for _, c := range all {
+		if c.Direct {
+			t.add(c)
 		}
 	}
-	return false
+	return t
+}
+
+func newTracker(base *store.Store, cdds []*logic.CDD) *Tracker {
+	return &Tracker{
+		base:      base,
+		cdds:      cdds,
+		conflicts: make(map[string]*Conflict),
+		byFact:    make(map[store.FactID]map[string]bool),
+		pin:       NewPinned(cdds, base),
+	}
 }
 
 func (t *Tracker) add(c *Conflict) {
@@ -251,29 +212,6 @@ func (t *Tracker) UpdateUnder(parent uint64, id store.FactID) {
 		added++
 	})
 	sp.End(removed, added)
-}
-
-// bindAtom unifies a body atom pattern against a ground fact, returning the
-// induced variable bindings, or false if they are incompatible.
-func bindAtom(pattern, fact logic.Atom) (logic.Subst, bool) {
-	sub := logic.NewSubst()
-	for i, pt := range pattern.Args {
-		ft := fact.Args[i]
-		if pt.IsVar() {
-			if cur, ok := sub[pt]; ok {
-				if cur != ft {
-					return nil, false
-				}
-				continue
-			}
-			sub[pt] = ft
-			continue
-		}
-		if pt != ft {
-			return nil, false
-		}
-	}
-	return sub, true
 }
 
 // Len returns the current number of conflicts.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -175,9 +176,11 @@ type PiChecker struct {
 	// inst is the persistent Π-nulled instance (nil until the first full
 	// check).
 	inst *piInstance
-	// pin is the pinned-seed CDD search of the delta check, nil when some
-	// TGD is relevant to the CDDs (then every fix runs the full check).
+	// pin is the pinned-seed CDD search of the delta check when no TGD is
+	// relevant to the CDDs; inc is the semi-naive delta chase when some
+	// is. Exactly one of them is set.
 	pin *conflict.Pinned
+	inc *chase.Incremental
 	// cause is the attribution ID of the CDD whose conflict caused the
 	// current batch (obs.None when unknown).
 	cause obs.ID
@@ -196,16 +199,17 @@ func (pc *PiChecker) SetCause(id obs.ID) { pc.cause = id }
 func (pc *PiChecker) SetTraceParent(id uint64) { pc.traceParent = id }
 
 // NewPiChecker builds a checker for the KB with the optimization enabled.
-// It also warms the plan cache for every rule body — and, for a KB whose
-// CDDs no TGD feeds, the pinned-seed plans of the delta check — against the
-// KB's base store. A plan's join order binds at its first compile, and the
-// checker's searches run on the Π-nulled instance, where unique nulls make
-// every non-Π position look perfectly selective; compiling here costs the
-// orders on the real data instead.
+// It also compiles, into the rules' memos, the plan of every rule body and
+// the pinned-seed plans of the delta check — the CDD bodies' for a KB whose
+// CDDs no TGD feeds, the relevant TGD and CDD bodies' otherwise — against
+// the KB's base store. A plan's join order binds at its first compile, and
+// the checker's searches run on the Π-nulled instance, where unique nulls
+// make every non-Π position look perfectly selective; compiling here costs
+// the orders on the real data instead.
 func NewPiChecker(kb *KB) *PiChecker {
 	chase.PrecompilePlans(kb.Facts, kb.TGDs, kb.CDDs)
 	pc := &PiChecker{kb: kb, ruleConst: make(map[logic.Term]bool), Optimized: true, cause: obs.None}
-	if len(chase.RelevantTGDs(kb.TGDs, kb.CDDs)) == 0 {
+	if pc.inc = chase.NewIncremental(kb.TGDs, kb.CDDs, kb.Facts); pc.inc == nil {
 		pc.pin = conflict.NewPinned(kb.CDDs, kb.Facts)
 	}
 	collect := func(as []logic.Atom) {
@@ -294,20 +298,27 @@ func (pc *PiChecker) CheckBatch(pi Pi, fixes []Fix) ([]bool, error) {
 }
 
 // runFullChecks runs Algorithm 1 for each fix index in full on the
-// persistent Π-nulled instance, setting only the fix position between
-// checks. Algorithm 1 on (apply(F,{f}), Π ∪ {f.Pos}) is exactly the
-// instance under Π with the fix value at the fix position (f.Pos is outside
-// Π in every SOUNDQUESTION call, and if it were inside, setting it still
-// realizes the hypothetical update).
+// persistent Π-nulled instance. Algorithm 1 on (apply(F,{f}), Π ∪ {f.Pos})
+// is exactly the instance under Π with the fix value at the fix position
+// (f.Pos is outside Π in every SOUNDQUESTION call, and if it were inside,
+// setting it still realizes the hypothetical update).
 //
-// Each check is one of two kinds:
+// Each check is one of three kinds (DESIGN.md §3):
 //
-//   - Delta (no TGD relevant to the CDDs, and the instance under Π
+//   - Pinned (no TGD relevant to the CDDs, and the instance under Π
 //     consistent): a CDD violation after the fix must use the one changed
 //     fact, so a search with a CDD body atom pinned at that fact decides it
 //     (conflict.Pinned — the UpdateConflicts reasoning of §5).
-//   - Full: chase.IsConsistentOpt on the instance in place; the chase's
-//     derived facts are truncated away before it returns.
+//   - Delta (some TGD relevant, f.Pos outside Π, and the instance's chase
+//     consistent within budget): the instance is chased once per batch,
+//     and each fix appends the fixed copy of its fact to the chased
+//     instance and chases semi-naively from it (chase.Incremental). The
+//     fix position holds a null that occurs nowhere else in the instance,
+//     so apply(I,{f}) and I ∪ {f′} are homomorphically equivalent.
+//   - Full: chase.IsConsistentOpt on the instance in place, with the fix
+//     value set; the chase's derived facts are truncated away before it
+//     returns. It decides every fix the other two kinds cannot, including
+//     a delta that runs out of budget.
 func (pc *PiChecker) runFullChecks(pi Pi, fixes []Fix, full []int, out []bool) error {
 	if len(full) == 0 {
 		return nil
@@ -322,25 +333,21 @@ func (pc *PiChecker) runFullChecks(pi Pi, fixes []Fix, full []int, out []bool) e
 	// checks, and CheckBatch's pi_batch span carries the batch's time.
 	opts := pc.kb.ChaseOpts
 	opts.TraceQuiet = true
-	delta := false
+	var rest []int
+	var err error
 	if pc.pin != nil {
-		ok, err := chase.IsConsistentOpt(s, pc.kb.TGDs, pc.kb.CDDs, opts)
-		if err != nil {
-			return err
-		}
-		delta = ok
+		rest, err = pc.pinnedChecks(s, fixes, full, out, opts)
+	} else {
+		rest, err = pc.deltaChecks(pi, s, fixes, full, out, opts)
 	}
-	for _, i := range full {
+	if err != nil {
+		return err
+	}
+	for _, i := range rest {
 		f := fixes[i]
 		prev := s.MustSetValue(f.Pos, f.Value)
 		tm := obs.StartTimer()
-		var ok bool
-		var err error
-		if delta {
-			ok = !pc.pin.Each(s, f.Pos.Fact, nil)
-		} else {
-			ok, err = chase.IsConsistentOpt(s, pc.kb.TGDs, pc.kb.CDDs, opts)
-		}
+		ok, err := chase.IsConsistentOpt(s, pc.kb.TGDs, pc.kb.CDDs, opts)
 		mPiCheckTime.SinceFor(pc.cause, tm)
 		s.MustSetValue(f.Pos, prev)
 		if err != nil {
@@ -349,6 +356,62 @@ func (pc *PiChecker) runFullChecks(pi Pi, fixes []Fix, full []int, out []bool) e
 		out[i] = ok
 	}
 	return nil
+}
+
+// pinnedChecks decides the fixes of a CDD-only KB by the pinned CDD search
+// at the changed fact, if the instance under Π is consistent. It returns
+// the fixes left to the full check: none, or all of them.
+func (pc *PiChecker) pinnedChecks(s *store.Store, fixes []Fix, full []int, out []bool, opts chase.Options) ([]int, error) {
+	ok, err := chase.IsConsistentOpt(s, pc.kb.TGDs, pc.kb.CDDs, opts)
+	if err != nil || !ok {
+		return full, err
+	}
+	for _, i := range full {
+		f := fixes[i]
+		prev := s.MustSetValue(f.Pos, f.Value)
+		tm := obs.StartTimer()
+		out[i] = !pc.pin.Each(s, f.Pos.Fact, nil)
+		mPiCheckTime.SinceFor(pc.cause, tm)
+		s.MustSetValue(f.Pos, prev)
+	}
+	return nil, nil
+}
+
+// deltaChecks chases the instance under Π once and decides each fix at a
+// position outside Π by the semi-naive delta from its fixed fact. It
+// returns the fixes left to the full check: those at Π positions, those
+// whose delta ran out of budget, and all of them when the instance's own
+// chase is inconsistent or runs out of budget. The instance is back at
+// |F| facts when it returns.
+func (pc *PiChecker) deltaChecks(pi Pi, s *store.Store, fixes []Fix, full []int, out []bool, opts chase.Options) ([]int, error) {
+	n := s.Len()
+	defer s.Truncate(n)
+	sat, ok, err := pc.inc.Saturate(s, opts)
+	if err != nil || !ok {
+		return full, nil
+	}
+	var rest []int
+	for _, i := range full {
+		f := fixes[i]
+		if pi.Has(f.Pos) {
+			rest = append(rest, i)
+			continue
+		}
+		a := s.Fact(f.Pos.Fact)
+		a.Args[f.Pos.Arg] = f.Value
+		tm := obs.StartTimer()
+		ok, err := pc.inc.ConsistentWith(s, a, sat, opts)
+		mPiCheckTime.SinceFor(pc.cause, tm)
+		switch {
+		case errors.Is(err, chase.ErrBudget):
+			rest = append(rest, i)
+		case err != nil:
+			return nil, err
+		default:
+			out[i] = ok
+		}
+	}
+	return rest, nil
 }
 
 // fastSafe reports whether the fix value is provably harmless (see

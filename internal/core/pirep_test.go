@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"kbrepair/internal/chase"
 	"kbrepair/internal/logic"
 	"kbrepair/internal/store"
 )
@@ -340,11 +342,24 @@ func TestNulledCopyLabelCollision(t *testing.T) {
 // Property: one long-lived PiChecker, driven through random sequences of Π
 // additions and removals, value updates at Π positions, kb.Facts null
 // minting and batch checks, returns on every fix the verdict of Algorithm 1
-// recomputed from scratch on apply(F, {f}) with Π ∪ {f.Pos}. It runs on
-// CDD-only KBs (the delta check) and on KBs whose TGDs feed the CDDs (the
-// in-place chase), and the checks must never change kb.Facts.
+// recomputed from scratch on apply(F, {f}) with Π ∪ {f.Pos}, and fails a
+// batch only when some fix's from-scratch check fails. It runs on
+// CDD-only KBs (the pinned CDD search) and on KBs whose TGDs feed the CDDs
+// (the semi-naive delta from a once-chased instance), the latter also with
+// a derivation budget small enough that the batch chase, the delta or the
+// from-scratch check runs out of it. Fixes land at Π positions too (the
+// full-check fallback). The TGDs include existential heads, one of them
+// multi-atom, and a CDD that joins two r facts on their invented null: a
+// delta null reusing a label of the batch chase would fabricate that join.
+// The checks must never change kb.Facts.
 func TestPersistentPiCheckerAgreesWithAlgorithm1(t *testing.T) {
-	for _, withTGDs := range []bool{false, true} {
+	variants := []struct {
+		name           string
+		withTGDs, tiny bool
+	}{{"cdd-only", false, false}, {"tgds", true, false}, {"tgds-budget", true, true}}
+	for _, vt := range variants {
+		withTGDs := vt.withTGDs
+		var budgetHits int
 		f := func(seed int64) bool {
 			r := rand.New(rand.NewSource(seed))
 			consts := []logic.Term{logic.C("a"), logic.C("b"), logic.C("c")}
@@ -364,26 +379,48 @@ func TestPersistentPiCheckerAgreesWithAlgorithm1(t *testing.T) {
 			}
 			var tgds []*logic.TGD
 			if withTGDs {
-				cdds = append(cdds, logic.MustCDD([]logic.Atom{
-					logic.NewAtom("r", logic.V("X"), logic.V("Y")),
-					logic.NewAtom("p", logic.V("Y"), logic.V("X")),
-				}))
+				for i := 0; i < 2; i++ {
+					s.MustAdd(logic.NewAtom("s", consts[r.Intn(3)]))
+				}
+				cdds = append(cdds,
+					logic.MustCDD([]logic.Atom{
+						logic.NewAtom("r", logic.V("X"), logic.V("Y")),
+						logic.NewAtom("p", logic.V("Y"), logic.V("X")),
+					}),
+					logic.MustCDD([]logic.Atom{
+						logic.NewAtom("r", logic.V("X"), logic.V("Z")),
+						logic.NewAtom("r", logic.V("Y"), logic.V("Z")),
+						logic.NewAtom("q", logic.V("X")),
+						logic.NewAtom("s", logic.V("Y")),
+					}),
+					logic.MustCDD([]logic.Atom{
+						logic.NewAtom("w", logic.V("X"), logic.V("Y")),
+						logic.NewAtom("s", logic.V("Y")),
+					}))
+				// Existential heads: the chases invent nulls, named by
+				// firing coordinate in the batch chase and the delta alike.
 				tgds = []*logic.TGD{
 					logic.MustTGD(
 						[]logic.Atom{logic.NewAtom("q", logic.V("X"))},
-						[]logic.Atom{logic.NewAtom("p", logic.V("X"), logic.V("X"))},
+						[]logic.Atom{logic.NewAtom("p", logic.V("X"), logic.V("Y"))},
 					),
-					// An existential head: the in-place chase invents nulls.
 					logic.MustTGD(
 						[]logic.Atom{logic.NewAtom("p", logic.V("X"), logic.V("Y"))},
 						[]logic.Atom{logic.NewAtom("r", logic.V("Y"), logic.V("Z"))},
 					),
+					logic.MustTGD(
+						[]logic.Atom{logic.NewAtom("r", logic.V("X"), logic.V("Y")), logic.NewAtom("q", logic.V("X"))},
+						[]logic.Atom{logic.NewAtom("w", logic.V("Y"), logic.V("Z")), logic.NewAtom("w", logic.V("Z"), logic.V("X"))},
+					),
 				}
 			}
 			kb := MustKB(s, tgds, cdds)
+			if vt.tiny {
+				kb.ChaseOpts.MaxDerived = 1 + r.Intn(24)
+			}
 			pc := NewPiChecker(kb)
-			if (pc.pin == nil) != withTGDs {
-				t.Fatalf("withTGDs=%v but delta search present=%v", withTGDs, pc.pin != nil)
+			if (pc.pin == nil) != withTGDs || (pc.inc == nil) == withTGDs {
+				t.Fatalf("withTGDs=%v but pinned search present=%v, delta chase present=%v", withTGDs, pc.pin != nil, pc.inc != nil)
 			}
 			ps := kb.Facts.Positions()
 			var minted []logic.Term
@@ -430,30 +467,57 @@ func TestPersistentPiCheckerAgreesWithAlgorithm1(t *testing.T) {
 					}
 					// The fast path presumes the Algorithm 2 invariant that K
 					// is Π-repairable; without it, only full checks apply.
+					// It never reaches a chase, so the budget variant keeps
+					// it off: every fix must meet the budget as Algorithm 1
+					// would.
 					rep, err := PiRepairable(kb, pi)
-					if err != nil {
+					if err != nil && !errors.Is(err, chase.ErrBudget) {
 						t.Fatal(err)
 					}
-					pc.Optimized = rep && r.Intn(2) == 0
+					pc.Optimized = !vt.tiny && rep && r.Intn(2) == 0
 					before := kb.Facts.Clone()
-					got, err := pc.CheckBatch(pi, fixes)
-					if err != nil {
-						t.Logf("CheckBatch: %v", err)
-						return false
-					}
+					got, gotErr := pc.CheckBatch(pi, fixes)
 					if !kb.Facts.Equal(before) {
 						t.Log("CheckBatch changed kb.Facts")
 						return false
 					}
+					var wantErr error
+					want := make([]bool, len(fixes))
+					wantErrs := make([]error, len(fixes))
 					for i, fx := range fixes {
 						kb2 := kb.Clone()
 						kb2.Facts.MustSetValue(fx.Pos, fx.Value)
-						want, err := PiRepairable(kb2, pi.With(fx.Pos))
-						if err != nil {
-							t.Fatal(err)
+						want[i], wantErrs[i] = PiRepairable(kb2, pi.With(fx.Pos))
+						if wantErrs[i] != nil && wantErr == nil {
+							wantErr = wantErrs[i]
 						}
-						if got[i] != want {
-							t.Logf("step %d: fix %s under Π=%v: got %v, want %v", step, fx, pi, got[i], want)
+					}
+					if gotErr != nil {
+						if wantErr == nil || !errors.Is(gotErr, chase.ErrBudget) {
+							t.Logf("step %d: fixes %v under Π=%v: CheckBatch error %v, from scratch %v", step, fixes, pi, gotErr, wantErr)
+							return false
+						}
+						budgetHits++
+						continue
+					}
+					if wantErr != nil && !errors.Is(wantErr, chase.ErrBudget) {
+						t.Fatal(wantErr)
+					}
+					for i, fx := range fixes {
+						if wantErrs[i] != nil {
+							// A delta can decide a fix whose from-scratch chase runs
+							// out of budget (a restricted chase's size depends on
+							// its trigger order); its verdict must be the
+							// unbounded one.
+							kb2 := kb.Clone()
+							kb2.ChaseOpts.MaxDerived = 0
+							kb2.Facts.MustSetValue(fx.Pos, fx.Value)
+							if want[i], err = PiRepairable(kb2, pi.With(fx.Pos)); err != nil {
+								t.Fatal(err)
+							}
+						}
+						if got[i] != want[i] {
+							t.Logf("step %d: fix %s under Π=%v: got %v, want %v", step, fx, pi, got[i], want[i])
 							return false
 						}
 					}
@@ -462,7 +526,54 @@ func TestPersistentPiCheckerAgreesWithAlgorithm1(t *testing.T) {
 			return true
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-			t.Errorf("withTGDs=%v: %v", withTGDs, err)
+			t.Errorf("%s: %v", vt.name, err)
 		}
+		if vt.tiny && budgetHits == 0 {
+			t.Errorf("%s: no batch ran out of budget; the budget variant tests nothing", vt.name)
+		}
+	}
+}
+
+// A fix at a Π position falls back to the full check: the semi-naive delta
+// presumes the fix position holds a null that occurs nowhere else, and a
+// Π position holds its source value. Appending the fixed copy p(_, c) next
+// to p(_, b) would join the two on their shared first argument and report
+// the violation q(b), r(c) that apply(F, {f}) does not have.
+func TestPiCheckerFixAtPiPosition(t *testing.T) {
+	s := store.MustFromAtoms([]logic.Atom{
+		logic.NewAtom("p", logic.C("a"), logic.C("b")),
+		logic.NewAtom("q", logic.C("b")),
+		logic.NewAtom("r", logic.C("c")),
+	})
+	kb := MustKB(s,
+		// A TGD the CDDs depend on, so the checker takes the delta path.
+		[]*logic.TGD{logic.MustTGD(
+			[]logic.Atom{logic.NewAtom("p", logic.V("X"), logic.V("Y"))},
+			[]logic.Atom{logic.NewAtom("m", logic.V("X"))},
+		)},
+		[]*logic.CDD{
+			logic.MustCDD([]logic.Atom{
+				logic.NewAtom("p", logic.V("X"), logic.V("Y")),
+				logic.NewAtom("p", logic.V("X"), logic.V("Z")),
+				logic.NewAtom("q", logic.V("Y")),
+				logic.NewAtom("r", logic.V("Z")),
+			}),
+			logic.MustCDD([]logic.Atom{
+				logic.NewAtom("m", logic.V("X")),
+				logic.NewAtom("u", logic.V("X")),
+			}),
+		})
+	pi := NewPi(Position{Fact: 0, Arg: 1}, Position{Fact: 1, Arg: 0}, Position{Fact: 2, Arg: 0})
+	fix := Fix{Pos: Position{Fact: 0, Arg: 1}, Value: logic.C("c")}
+	kb2 := kb.Clone()
+	kb2.Facts.MustSetValue(fix.Pos, fix.Value)
+	want, err := PiRepairable(kb2, pi.With(fix.Pos))
+	if err != nil || !want {
+		t.Fatalf("ground truth: %v, %v; want repairable", want, err)
+	}
+	pc := NewPiChecker(kb)
+	pc.Optimized = false
+	if got, err := pc.CheckWithFix(pi, fix); err != nil || !got {
+		t.Errorf("CheckWithFix = %v, %v; want true", got, err)
 	}
 }

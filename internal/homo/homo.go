@@ -15,7 +15,9 @@
 // checking), cyclic bodies — in the GYO ear-removal sense — execute a
 // variable-at-a-time generic join (see wcoj.go); CompileOpts.Mode can force
 // either kernel. Rule-derived conjunctions share compiled plans through
-// CachedPlan, keyed by rule identity plus the compile spec; CompileOpts
+// CachedPlan, keyed by rule identity plus the compile spec. The plans are
+// owned by the rule: they live in its memo (logic.TGD.Memo), not in a
+// process-wide cache, so they are collected with the rule. CompileOpts
 // also supports seed-specialized plans whose Prebound variables count as
 // bound for ordering. The package-level functions below compile on the fly
 // and are kept as the convenience API for ad-hoc bodies.

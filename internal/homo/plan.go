@@ -189,27 +189,34 @@ const (
 	TagPinned = 2
 )
 
-// CacheKey identifies a compiled conjunction in the process-wide plan cache.
-// Owner must be a stable comparable identity for the conjunction — in
-// practice the *logic.TGD or *logic.CDD pointer, which is shared across KB
-// clones and lives for the session. Spec is the compile-option fingerprint
-// (kernel mode + prebound variables); CachedPlanWith fills it from the
-// options, so differently specialized plans of one rule never collide.
-type CacheKey struct {
-	Owner any
-	Tag   int
-	Spec  string
+// Owner is the owner of rule-derived conjunctions: in practice a
+// *logic.TGD or *logic.CDD. The plans compiled from its conjunctions live in
+// its memo, so they live exactly as long as the rule does.
+type Owner interface {
+	Memo() *sync.Map
 }
 
-var (
-	planCache sync.Map // CacheKey -> *Plan
-	// planCompileMu serializes cache misses so each key compiles exactly
-	// once. The old LoadOrStore race compiled a key twice when two workers
-	// missed together — harmless for the plans (the loser was dropped) but
-	// it made homo.plan_compiles / homo.plan_cache_hits depend on
-	// scheduling, which the profile's cache-hit rate must not.
-	planCompileMu sync.Mutex
-)
+// CacheKey identifies a compiled conjunction of an owner. CachedPlanWith
+// adds the compile-option fingerprint (kernel mode + prebound variables),
+// so differently specialized plans of one rule never collide.
+type CacheKey struct {
+	Owner Owner
+	Tag   int
+}
+
+// memoKey is the key of a plan in its owner's memo. The type is private to
+// this package, so other packages' memo entries can never collide with it.
+type memoKey struct {
+	tag  int
+	spec string
+}
+
+// planCompileMu serializes cache misses so each key compiles exactly once.
+// A LoadOrStore race would compile a key twice when two workers missed
+// together — harmless for the plans (the loser was dropped) but it made
+// homo.plan_compiles / homo.plan_cache_hits depend on scheduling, which the
+// profile's cache-hit rate must not.
+var planCompileMu sync.Mutex
 
 // CachedPlan returns the compiled plan for key, compiling body on first use
 // with default options. The cache is keyed by rule identity, not body
@@ -223,21 +230,23 @@ func CachedPlan(key CacheKey, body []logic.Atom) *Plan {
 // mode and prebound variables join the cache key, so a rule can hold both a
 // general and a seed-specialized plan; Stats do not (the first compile for a
 // key binds the order — compile at a point where the store is representative,
-// e.g. chase.PrecompilePlans before any parallel fan-out).
+// e.g. chase.PrecompilePlans before any parallel fan-out). The plan is kept
+// in key.Owner's memo.
 func CachedPlanWith(key CacheKey, body []logic.Atom, opts CompileOpts) *Plan {
-	key.Spec = opts.spec()
-	if v, ok := planCache.Load(key); ok {
+	memo := key.Owner.Memo()
+	mk := memoKey{tag: key.Tag, spec: opts.spec()}
+	if v, ok := memo.Load(mk); ok {
 		mPlanHits.Inc()
 		return v.(*Plan)
 	}
 	planCompileMu.Lock()
 	defer planCompileMu.Unlock()
-	if v, ok := planCache.Load(key); ok {
+	if v, ok := memo.Load(mk); ok {
 		mPlanHits.Inc()
 		return v.(*Plan)
 	}
 	p := CompileWith(body, opts)
-	planCache.Store(key, p)
+	memo.Store(mk, p)
 	return p
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"kbrepair/internal/chase"
 	"kbrepair/internal/conflict"
 	"kbrepair/internal/core"
 	"kbrepair/internal/obs"
@@ -322,6 +323,28 @@ func recordAnswer(f core.Fix) {
 	obs.Point(obs.KindAnswer, f.Value.String(), int(f.Pos.Fact), f.Pos.Arg, obs.Bit(f.Value.IsNull()))
 }
 
+// initialScan sets res.InitialNaive and res.InitialTotal with one conflict
+// scan and returns the tracker of the naive conflicts. When no TGD is
+// relevant to the CDDs every conflict is naive, so the naive scan counts
+// both; otherwise the chase-level scan does, its direct conflicts being
+// the naive ones (conflict.NewTrackerFrom).
+func (e *Engine) initialScan(parent uint64, res *Result) (*conflict.Tracker, error) {
+	var tracker *conflict.Tracker
+	if len(chase.RelevantTGDs(e.KB.TGDs, e.KB.CDDs)) == 0 {
+		tracker = conflict.NewTrackerUnder(parent, e.KB.Facts, e.KB.CDDs)
+		res.InitialTotal = tracker.Len()
+	} else {
+		all, _, err := e.KB.AllConflictsUnder(parent)
+		if err != nil {
+			return nil, err
+		}
+		tracker = conflict.NewTrackerFrom(e.KB.Facts, e.KB.CDDs, all)
+		res.InitialTotal = len(all)
+	}
+	res.InitialNaive = tracker.Len()
+	return tracker, nil
+}
+
 // startRun opens the root span of an inquiry session; everything the run
 // does hangs under it. The returned end closes it exactly once — eagerly
 // with the summary on success, or from a deferred call on error paths.
@@ -353,11 +376,8 @@ func (e *Engine) Run() (*Result, error) {
 	defer endRoot()
 
 	initSp := rootSp.Child(obs.KindInquiryInit)
-	tracker := conflict.NewTrackerUnder(initSp.ID(), e.KB.Facts, e.KB.CDDs)
-	res.InitialNaive = tracker.Len()
-	if initial, _, err := e.KB.AllConflictsUnder(initSp.ID()); err == nil {
-		res.InitialTotal = len(initial)
-	} else {
+	tracker, err := e.initialScan(initSp.ID(), res)
+	if err != nil {
 		initSp.End()
 		return nil, err
 	}
@@ -478,10 +498,7 @@ func (e *Engine) RunBasic() (*Result, error) {
 	defer endRoot()
 
 	initSp := rootSp.Child(obs.KindInquiryInit)
-	res.InitialNaive = len(conflict.AllNaiveUnder(initSp.ID(), e.KB.Facts, e.KB.CDDs))
-	if initial, _, err := e.KB.AllConflictsUnder(initSp.ID()); err == nil {
-		res.InitialTotal = len(initial)
-	} else {
+	if _, err := e.initialScan(initSp.ID(), res); err != nil {
 		initSp.End()
 		return nil, err
 	}

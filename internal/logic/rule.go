@@ -3,6 +3,7 @@ package logic
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // TGD is a tuple-generating dependency (existential rule)
@@ -17,7 +18,14 @@ type TGD struct {
 	Label string
 	Body  []Atom
 	Head  []Atom
+	memo  sync.Map
 }
+
+// Memo returns the rule's memo: what other packages derive from the rule
+// once and keep for its lifetime (compiled homomorphism plans, the ⊥-rule
+// of a CDD). Owning it on the rule, rather than in a process-wide map keyed
+// by rule pointer, lets a parsed KB's derived state die with its rules.
+func (t *TGD) Memo() *sync.Map { return &t.memo }
 
 // NewTGD builds a TGD and validates it.
 func NewTGD(body, head []Atom) (*TGD, error) {
@@ -108,7 +116,11 @@ type CDD struct {
 	// Label is an optional human-readable identifier used in diagnostics.
 	Label string
 	Body  []Atom
+	memo  sync.Map
 }
+
+// Memo returns the rule's memo (see TGD.Memo).
+func (c *CDD) Memo() *sync.Map { return &c.memo }
 
 // NewCDD builds a CDD and validates it.
 func NewCDD(body []Atom) (*CDD, error) {
